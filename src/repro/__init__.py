@@ -45,7 +45,6 @@ def analyze(
     budget=None,
     cache: bool = True,
     record_provenance: bool = False,
-    dense=None,
     graph=None,
 ) -> ReachingDefsResult:
     """Analyze ``program`` with the most precise applicable equation system.
@@ -60,12 +59,7 @@ def analyze(
     visit-order-independent solution; ``"round-robin"`` is the paper's
     chaotic iteration (see DESIGN.md §5 "solver modes"); ``"scc"`` is the
     sparse SCC-scheduled engine (:mod:`repro.dataflow.sched`) — same
-    fixpoints, far fewer node updates on mostly-acyclic graphs;
-    ``"scc-dense"`` additionally routes large cyclic regions through the
-    vectorized dense evaluator (:mod:`repro.dataflow.dense`) —
-    byte-identical fixpoints, matrix-shaped inner loop.  ``dense`` (a
-    :class:`repro.dataflow.dense.DenseConfig`) tunes the dense-region
-    thresholds and wavefront ``workers`` for either scc engine.
+    fixpoints, far fewer node updates on mostly-acyclic graphs.
 
     ``budget`` is an optional :class:`repro.dataflow.ResourceBudget`
     bounding the whole analysis; exhaustion raises
@@ -103,9 +97,6 @@ def analyze(
             solver,
             preserved,
             record_provenance,
-            # Dense thresholds change dispatch counts in result.stats
-            # (never the sets); workers change neither — see DenseConfig.key.
-            dense.key() if dense is not None else None,
         )
         # Results are only valid for the exact AST analyzed (PFG nodes
         # hold statement objects; the interpreter matches by identity —
@@ -125,12 +116,12 @@ def analyze(
     if uses_sync:
         result = solve_synch(
             graph, backend=backend, order=order, solver=solver, preserved=preserved,
-            budget=budget, record_provenance=record_provenance, dense=dense,
+            budget=budget, record_provenance=record_provenance,
         )
     elif uses_parallel:
         result = solve_parallel(
             graph, backend=backend, order=order, solver=solver, budget=budget,
-            record_provenance=record_provenance, dense=dense,
+            record_provenance=record_provenance,
         )
     else:
         if solver == "stabilized":
@@ -139,7 +130,7 @@ def analyze(
             solver = "round-robin"
         result = solve_sequential(
             graph, backend=backend, order=order, solver=solver, budget=budget,
-            record_provenance=record_provenance, dense=dense,
+            record_provenance=record_provenance,
         )
     if key is not None:
         GLOBAL_CACHE.put(key, result)

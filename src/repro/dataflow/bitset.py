@@ -27,7 +27,7 @@ three produce identical fixpoints.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Generic, Iterable, List, Optional, Sequence, TypeVar
+from typing import FrozenSet, Generic, Hashable, Iterable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class SetBackend(Generic[S]):
 
     def __init__(self, universe: Sequence[Definition]):
         self.universe: List[Definition] = list(universe)
-        #: 64-bit words needed to pack one subset of the universe — the
-        #: row width of the packed (:class:`BulkView`) representation.
+        #: 64-bit words needed to pack one subset of the universe (the
+        #: word width :class:`CountingBackend` weights operations by).
         self.n_words = max(1, (len(self.universe) + 63) // 64)
 
     # -- constructors --------------------------------------------------
@@ -122,31 +122,14 @@ class SetBackend(Generic[S]):
     def size(self, s: S) -> int:
         return len(self.to_frozenset(s))
 
-    # -- packed (bulk) conversion ----------------------------------------
-    #
-    # The dense region evaluator (:mod:`repro.dataflow.dense`) stacks many
-    # values into one 2-D ``uint64`` array; these convert one value to and
-    # from its packed row.  The generic forms route through frozensets and
-    # work for any backend; the bit-vector backends override them with
-    # direct word copies.
+    def key(self, s: S) -> Hashable:
+        """A hashable image of ``s``: equal keys iff equal sets.
 
-    def to_words(self, s: S) -> np.ndarray:
-        """``s`` as a fresh ``(n_words,)`` array of packed ``uint64``."""
-        out = np.zeros(self.n_words, dtype=np.uint64)
-        for d in self.to_frozenset(s):
-            out[d.index >> 6] |= np.uint64(1) << np.uint64(d.index & 63)
-        return out
-
-    def from_words(self, words: np.ndarray) -> S:
-        """A backend value from a packed ``(n_words,)`` ``uint64`` row."""
-        out = []
-        for word_index, word in enumerate(words.tolist()):
-            base = word_index << 6
-            while word:
-                low = word & -word
-                out.append(self.universe[base + low.bit_length() - 1])
-                word ^= low
-        return self.from_defs(out)
+        The stabilized convergence checks compare state through these
+        keys.  This generic form decodes; the concrete backends return
+        their raw value (or its bytes), so a round costs a word compare
+        per row instead of a frozenset decode of every row."""
+        return self.to_frozenset(s)
 
 
 class FrozensetBackend(SetBackend[FrozenSet[Definition]]):
@@ -175,6 +158,9 @@ class FrozensetBackend(SetBackend[FrozenSet[Definition]]):
 
     def size(self, s) -> int:
         return len(s)
+
+    def key(self, s):
+        return s
 
 
 class IntBitsetBackend(SetBackend[int]):
@@ -220,13 +206,8 @@ class IntBitsetBackend(SetBackend[int]):
     def size(self, s: int) -> int:
         return s.bit_count()
 
-    def to_words(self, s: int) -> np.ndarray:
-        return np.frombuffer(
-            s.to_bytes(self.n_words * 8, "little"), dtype=np.uint64
-        ).copy()
-
-    def from_words(self, words: np.ndarray) -> int:
-        return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
+    def key(self, s: int) -> int:
+        return s
 
 
 class NumpyBitsetBackend(SetBackend[np.ndarray]):
@@ -280,11 +261,8 @@ class NumpyBitsetBackend(SetBackend[np.ndarray]):
         # on every call.
         return sum(int(w).bit_count() for w in s.tolist())
 
-    def to_words(self, s: np.ndarray) -> np.ndarray:
-        return np.array(s, dtype=np.uint64, copy=True)
-
-    def from_words(self, words: np.ndarray) -> np.ndarray:
-        return np.array(words, dtype=np.uint64, copy=True)
+    def key(self, s: np.ndarray) -> bytes:
+        return s.tobytes()
 
 
 class CountingBackend(SetBackend):
@@ -357,52 +335,8 @@ class CountingBackend(SetBackend):
     def size(self, s) -> int:
         return self.inner.size(s)
 
-    def to_words(self, s):
-        return self.inner.to_words(s)
-
-    def from_words(self, words):
-        return self.inner.from_words(words)
-
-
-class BulkView:
-    """Packed 2-D view over a backend's values for bulk (dense) evaluation.
-
-    The dense region evaluator (:mod:`repro.dataflow.dense`) operates on
-    ``(rows, n_words)`` ``uint64`` matrices — one packed row per node.
-    ``BulkView`` is the bridge: it packs lists of scalar backend values
-    into such matrices and unpacks result rows back into backend values,
-    regardless of which scalar backend the caller chose.  Conversion
-    routes through :meth:`SetBackend.to_words` / ``from_words`` so the
-    bit-vector backends get direct word copies while ``FrozensetBackend``
-    still round-trips correctly.
-
-    The view never mutates scalar values (packing copies), so the scalar
-    API's purity contract is untouched; the *matrices* it returns are the
-    dense evaluator's private mutable state.
-    """
-
-    def __init__(self, backend: SetBackend):
-        # Unwrap the counting proxy: bulk sweeps are accounted for by the
-        # dense evaluator's own obs counters (one matrix op stands for
-        # thousands of scalar calls, so per-call counting would be both
-        # slow and misleading).
-        self.backend = backend.inner if isinstance(backend, CountingBackend) else backend
-        self.n_words = self.backend.n_words
-
-    def zeros(self, rows: int) -> np.ndarray:
-        """A fresh all-empty ``(rows, n_words)`` packed matrix."""
-        return np.zeros((rows, self.n_words), dtype=np.uint64)
-
-    def pack(self, values: Iterable) -> np.ndarray:
-        """Stack scalar backend values into a packed matrix, row per value."""
-        rows = [self.backend.to_words(v) for v in values]
-        if not rows:
-            return self.zeros(0)
-        return np.stack(rows)
-
-    def unpack_row(self, matrix: np.ndarray, row: int):
-        """The scalar backend value stored in ``matrix[row]``."""
-        return self.backend.from_words(matrix[row])
+    def key(self, s):
+        return self.inner.key(s)
 
 
 #: Registry used by user-facing ``backend=`` parameters.

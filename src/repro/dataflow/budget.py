@@ -110,17 +110,6 @@ class ResourceBudget:
     def charge_updates(self, n: int = 1) -> None:
         self.updates += n
 
-    def charge_region(self, sweeps: int, updates: int) -> None:
-        """Charge one solved region's whole cost in a single call.
-
-        Used at the dense scheduler's wavefront barrier
-        (:func:`repro.dataflow.sched.solve_scc` with ``workers > 1``):
-        pooled regions solve in worker processes and report their sweep
-        and update totals only when collected, so the budget is charged
-        — and checked — per region at the barrier rather than per sweep."""
-        self.passes += sweeps
-        self.updates += updates
-
     def elapsed(self) -> float:
         if self._started_at is None:
             return 0.0

@@ -309,8 +309,10 @@ def solve_stabilized(
     when this path triggers.
 
     The required ``EquationSystem`` surface is ``update_flow``/
-    ``update_kill``/``reset_flow``/``reset_kill``/``snapshot``/
-    ``kill_state``/``set_kill_state``/``meet_values``.
+    ``update_kill``/``reset_flow_nodes``/``reset_kill_nodes``/
+    ``state_key``/``kill_state``/``set_kill_state``/``meet_values`` (the
+    round protocol of :func:`stabilize`) plus ``snapshot`` for failure
+    payloads.
     """
     nodes = list(order) if order is not None else list(system.nodes())
     tracer = get_tracer()
@@ -353,44 +355,66 @@ def solve_stabilized(
     with tracer.span("solve", solver="stabilized", order=order_name) as span:
         if tracer.enabled:
             stats.span = span
-        sweep_to_fixpoint(system.update_flow, "flow")
-        history: List[object] = [system.snapshot()]
-        kill_history: List[object] = [system.kill_state()]
-        for round_index in range(max_rounds):
-            with tracer.span("round", index=round_index):
-                system.reset_kill()
-                sweep_to_fixpoint(system.update_kill, "kill")
-                system.reset_flow()
-                sweep_to_fixpoint(system.update_flow, "flow")
-            current = system.snapshot()
-            if current == history[-1]:
-                stats.converged = True
-                _finalize_provenance(system, stats)
-                span.annotate(rounds=round_index + 1, **stats.as_dict())
-                _record_solver_metrics("stabilized", order_name, stats)
-                return stats
-            if current in history:
-                # Oscillation: meet the kill layers over the cycle, then one
-                # final flow phase under the (now conservative) frozen kills.
-                start = history.index(current)
-                cycle_kills = kill_history[start:] + [system.kill_state()]
-                system.set_kill_state(_meet_kill_states(system, cycle_kills))
-                system.reset_flow()
-                sweep_to_fixpoint(system.update_flow, "flow")
-                stats.order += "+cycle"
-                stats.converged = True
-                _finalize_provenance(system, stats)
-                span.annotate(rounds=round_index + 1, cycle=True, **stats.as_dict())
-                _record_solver_metrics("stabilized", order_name, stats)
-                return stats
-            history.append(current)
-            kill_history.append(system.kill_state())
+        rounds = stabilize(system, nodes, sweep_to_fixpoint, stats, max_rounds)
+        if rounds is not None:
+            stats.converged = True
+            _finalize_provenance(system, stats)
+            cycle = {"cycle": True} if stats.order.endswith("+cycle") else {}
+            span.annotate(rounds=rounds, **cycle, **stats.as_dict())
+            _record_solver_metrics("stabilized", order_name, stats)
+            return stats
         span.annotate(**stats.as_dict())
     raise NonConvergenceError(
         stats,
         reason=f"terminal round cap max_rounds={max_rounds} hit (equation bug?)",
         snapshot=system.snapshot(),
     )
+
+
+def stabilize(system, nodes, sweep, stats: SolveStats, max_rounds: int) -> Optional[int]:
+    """The stabilized round loop, shared by :func:`solve_stabilized` (over
+    the whole graph) and :func:`~repro.dataflow.sched.solve_scc` (over one
+    cyclic region whose upstream regions are final).
+
+    One flow phase, then kill/flow rounds — each phase reset to ⊥ on
+    ``nodes`` and run to its fixpoint by ``sweep(update, kind)``, which
+    owns pass and budget accounting — until a round leaves the state
+    unchanged.  A repeated state is an oscillation: the kill layer is met
+    over the cycle, one final flow phase runs, and ``stats.order`` gains
+    ``+cycle``.  States are compared as ``system.state_key(nodes)`` —
+    raw backend values, never decoded sets, so a round costs one compare
+    per row on top of its sweeps.
+
+    Returns the number of rounds run, or None when ``max_rounds`` rounds
+    did not settle (the caller raises with its own context).
+    """
+    tracer = get_tracer()
+    sweep(system.update_flow, "flow")
+    history = [system.state_key(nodes)]
+    kill_history = [system.kill_state(nodes)]
+    for round_index in range(max_rounds):
+        with tracer.span("round", index=round_index):
+            system.reset_kill_nodes(nodes)
+            sweep(system.update_kill, "kill")
+            system.reset_flow_nodes(nodes)
+            sweep(system.update_flow, "flow")
+        current = system.state_key(nodes)
+        if current == history[-1]:
+            return round_index + 1
+        if current in history:
+            # Oscillation: meet the kill layers over the cycle, then one
+            # final flow phase under the (now conservative) frozen kills.
+            cycle_kills = kill_history[history.index(current):]
+            cycle_kills.append(system.kill_state(nodes))
+            system.set_kill_state(_meet_kill_states(system, cycle_kills))
+            system.reset_flow_nodes(nodes)
+            sweep(system.update_flow, "flow")
+            if not stats.order.endswith("+cycle"):
+                stats.order += "+cycle"
+            return round_index + 1
+        history.append(current)
+        kill_history.append(system.kill_state(nodes))
+    return None
 
 
 def _meet_kill_states(system, states):
@@ -411,24 +435,11 @@ def _meet_kill_states(system, states):
 #: Signature shared by the solvers, for parameterized tests/benchmarks.
 Solver = Callable[..., SolveStats]
 
-from .dense import DenseConfig  # noqa: E402
 from .sched import solve_scc  # noqa: E402  (after _record_solver_metrics exists)
-
-
-def solve_scc_dense(system, order=None, order_name: str = "scc-dense", **kwargs) -> SolveStats:
-    """:func:`~repro.dataflow.sched.solve_scc` with the dense region
-    evaluator forced on (``DenseConfig(mode="always")``) for every
-    eligible cyclic region — the ``"scc-dense"`` solver name.  Same
-    fixpoints as ``scc``, byte-identical; pass ``dense=`` explicitly to
-    tune thresholds or wavefront workers instead."""
-    kwargs.setdefault("dense", DenseConfig(mode="always"))
-    return solve_scc(system, order, order_name=order_name, **kwargs)
-
 
 SOLVERS = {
     "round-robin": solve_round_robin,
     "worklist": solve_worklist,
     "stabilized": solve_stabilized,
     "scc": solve_scc,
-    "scc-dense": solve_scc_dense,
 }

@@ -140,7 +140,6 @@ def optimize(
     budget: Optional[ResourceBudget] = None,
     degrade: bool = True,
     solver: str = "stabilized",
-    dense=None,
 ) -> OptimizationReport:
     """Run the full analysis pipeline on source text or a parsed program.
 
@@ -160,11 +159,8 @@ def optimize(
 
     ``solver`` selects the fixpoint engine as in :func:`repro.analyze`
     (``"stabilized"`` default; ``"scc"`` for the sparse SCC-scheduled
-    engine, ``"scc-dense"`` for scc with the vectorized dense-region
-    evaluator, ``"round-robin"``/``"worklist"`` for the paper's chaotic
-    iteration); ``dense`` is the optional
-    :class:`~repro.dataflow.dense.DenseConfig` forwarded to the scc
-    engines.
+    engine, ``"round-robin"``/``"worklist"`` for the paper's chaotic
+    iteration).
     """
     from . import analyze  # deferred: repro/__init__ imports this module
 
@@ -176,12 +172,12 @@ def optimize(
             if degrade:
                 result, degradation = analyze_with_degradation(
                     program, backend=backend, solver=solver, preserved=preserved,
-                    budget=budget, dense=dense,
+                    budget=budget,
                 )
             else:
                 result = analyze(
                     program, backend=backend, solver=solver, preserved=preserved,
-                    budget=budget, dense=dense,
+                    budget=budget,
                 )
 
         notes: List[str] = []

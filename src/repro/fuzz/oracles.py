@@ -77,15 +77,12 @@ from ..reachdefs import (
 )
 from .mutate import MUTATORS, Mutation, apply_mutators
 
-#: Solvers compared by the agreement oracle — every registered engine
-#: (``scc-dense`` forces the vectorized dense-region evaluator on, so the
-#: campaign differentially checks it against every scalar engine).
+#: Solvers compared by the agreement oracle — every registered engine.
 ALL_SOLVERS: Tuple[str, ...] = (
     "stabilized",
     "round-robin",
     "worklist",
     "scc",
-    "scc-dense",
 )
 
 #: Cap on per-oracle failure details; a broken equation system fails on
@@ -200,7 +197,7 @@ def _trim(failures: List[OracleFailure], total: int) -> List[OracleFailure]:
 #: legitimately converges to different, visit-order-dependent fixpoints
 #: (``tests/regression/test_fixpoint_multiplicity.py``) — so exact
 #: equality is only demanded of the deterministic engines there.
-DETERMINISTIC_SOLVERS = frozenset({"stabilized", "scc", "scc-dense"})
+DETERMINISTIC_SOLVERS = frozenset({"stabilized", "scc"})
 
 
 def solver_agreement_mode(program: ast.Program) -> str:

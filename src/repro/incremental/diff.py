@@ -100,15 +100,29 @@ def _aligned_pairs(
     new_nodes = new.document_order()
     base_fps = [node_fingerprint(n) for n in base_nodes]
     new_fps = [node_fingerprint(n) for n in new_nodes]
-    matcher = SequenceMatcher(None, base_fps, new_fps, autojunk=False)
-    pairs: List[Tuple[PFGNode, PFGNode]] = []
+    # An edit leaves long equal runs at both ends: align those directly
+    # and hand SequenceMatcher (superlinear in its input) only the span
+    # between them.
+    n_base, n_new = len(base_fps), len(new_fps)
+    limit = min(n_base, n_new)
+    lo = 0
+    while lo < limit and base_fps[lo] == new_fps[lo]:
+        lo += 1
+    hi = 0
+    while hi < limit - lo and base_fps[n_base - 1 - hi] == new_fps[n_new - 1 - hi]:
+        hi += 1
+    matcher = SequenceMatcher(
+        None, base_fps[lo:n_base - hi], new_fps[lo:n_new - hi], autojunk=False
+    )
+    pairs: List[Tuple[PFGNode, PFGNode]] = list(zip(base_nodes[:lo], new_nodes[:lo]))
     gaps: List[Tuple[List[PFGNode], List[PFGNode]]] = []
     for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        i1, i2, j1, j2 = i1 + lo, i2 + lo, j1 + lo, j2 + lo
         if tag == "equal":
-            for k in range(i2 - i1):
-                pairs.append((base_nodes[i1 + k], new_nodes[j1 + k]))
+            pairs.extend(zip(base_nodes[i1:i2], new_nodes[j1:j2]))
         elif tag == "replace":
             gaps.append((base_nodes[i1:i2], new_nodes[j1:j2]))
+    pairs.extend(zip(base_nodes[n_base - hi:], new_nodes[n_new - hi:]))
     return pairs, gaps
 
 

@@ -151,47 +151,51 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         return changed
 
     def reset_flow(self) -> None:
-        empty = self.ops.empty()
-        for n in self.graph.nodes:
-            self.In[n] = empty
-            self.Out[n] = empty
+        self.reset_flow_nodes(self.graph.nodes)
 
     def reset_kill(self) -> None:
-        empty = self.ops.empty()
-        for n in self.graph.nodes:
-            self.ACCKillin[n] = empty
-            self.ACCKillout[n] = empty
-            self.ForkKill[n] = empty
+        self.reset_kill_nodes(self.graph.nodes)
 
     def reset_flow_nodes(self, nodes: Iterable[PFGNode]) -> None:
-        """Region-scoped :meth:`reset_flow` for the SCC scheduler — resets
-        only the given nodes, leaving upstream (final) regions intact."""
+        """Reset ``In``/``Out`` on ``nodes`` only — the stabilized round
+        driver's flow reset, scoped to a region by the SCC scheduler so
+        upstream (final) regions stay intact."""
         empty = self.ops.empty()
         for n in nodes:
             self.In[n] = empty
             self.Out[n] = empty
 
     def reset_kill_nodes(self, nodes: Iterable[PFGNode]) -> None:
-        """Region-scoped :meth:`reset_kill` (see :mod:`repro.dataflow.sched`)."""
+        """Reset the kill layer on ``nodes`` only (cf. :meth:`reset_flow_nodes`)."""
         empty = self.ops.empty()
-        for n in nodes:
-            self.ACCKillin[n] = empty
-            self.ACCKillout[n] = empty
-            self.ForkKill[n] = empty
+        nodes = list(nodes)
+        for _, slot in self._kill_slots():
+            for n in nodes:
+                slot[n] = empty
 
-    # -- stabilized-solver protocol (cycle resolution) -----------------------
+    # -- stabilized-solver protocol (convergence and cycle resolution) ---------
 
-    def kill_state(self):
-        return {
-            "ACCKillin": dict(self.ACCKillin),
-            "ACCKillout": dict(self.ACCKillout),
-            "ForkKill": dict(self.ForkKill),
-        }
+    def _kill_slots(self):
+        """The kill-layer variables, by name (the §6 subclass adds SynchPass)."""
+        return (
+            ("ACCKillin", self.ACCKillin),
+            ("ACCKillout", self.ACCKillout),
+            ("ForkKill", self.ForkKill),
+        )
+
+    def _slots(self):
+        """Every per-node variable, by name: the flow pair, then the kill layer."""
+        return (("In", self.In), ("Out", self.Out)) + self._kill_slots()
+
+    def kill_state(self, nodes=None):
+        """Kill-layer values per slot, restricted to ``nodes`` if given."""
+        if nodes is None:
+            nodes = self.graph.nodes
+        return {name: {n: slot[n] for n in nodes} for name, slot in self._kill_slots()}
 
     def set_kill_state(self, state) -> None:
-        self.ACCKillin.update(state["ACCKillin"])
-        self.ACCKillout.update(state["ACCKillout"])
-        self.ForkKill.update(state["ForkKill"])
+        for name, slot in self._kill_slots():
+            slot.update(state[name])
 
     def meet_values(self, a, b):
         return self.ops.intersection(a, b)
@@ -261,23 +265,19 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
 
     # -- results ---------------------------------------------------------------
 
-    def snapshot(self, nodes=None):
-        """Frozenset state per slot; ``nodes`` restricts to a subset —
-        region-scoped convergence checks must not pay for materializing
-        the whole graph every round."""
+    def snapshot(self):
+        """Frozenset state per slot (pass tables, non-convergence payloads)."""
         ops = self.ops
-        if nodes is None:
-            nodes = self.graph.nodes
         return {
-            name: {n.name: ops.to_frozenset(slot[n]) for n in nodes}
-            for name, slot in (
-                ("In", self.In),
-                ("Out", self.Out),
-                ("ACCKillin", self.ACCKillin),
-                ("ACCKillout", self.ACCKillout),
-                ("ForkKill", self.ForkKill),
-            )
+            name: {n.name: ops.to_frozenset(slot[n]) for n in self.graph.nodes}
+            for name, slot in self._slots()
         }
+
+    def state_key(self, nodes):
+        """Raw-valued image of every slot over ``nodes``, for the stabilized
+        convergence checks: equal keys iff equal state, with no decode."""
+        key = self.ops.key
+        return tuple(key(slot[n]) for _, slot in self._slots() for n in nodes)
 
     def to_result(self, stats: SolveStats, known=None) -> ReachingDefsResult:
         """``known`` maps slot name → {node: frozenset} for rows whose
@@ -310,9 +310,7 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         )
 
 
-def run_solver(
-    system, graph, order: str, solver: str, snapshot_passes: bool, budget=None, dense=None
-):
+def run_solver(system, graph, order: str, solver: str, snapshot_passes: bool, budget=None):
     """Dispatch a reaching-definitions system to a solver.
 
     ``solver``:
@@ -328,19 +326,10 @@ def run_solver(
       (:func:`~repro.dataflow.sched.solve_scc`): acyclic regions once,
       cyclic regions stabilized locally; same fixpoints, far fewer
       updates on mostly-acyclic graphs.
-    * ``"scc-dense"`` — scc with the vectorized region evaluator forced
-      on for every eligible cyclic region (byte-identical fixpoints; see
-      :mod:`repro.dataflow.dense`).
 
     ``budget`` (a :class:`~repro.dataflow.budget.ResourceBudget`) guards
-    the run; see :mod:`repro.dataflow.budget`.  ``dense`` (a
-    :class:`~repro.dataflow.dense.DenseConfig`) tunes dense-region
-    dispatch for the scc engines — with ``solver="scc"`` it opts cyclic
-    regions into dense solving under its thresholds; with
-    ``"scc-dense"`` it overrides the forced-on default (e.g. to set
-    ``workers``).
+    the run; see :mod:`repro.dataflow.budget`.
     """
-    from ..dataflow.dense import DenseConfig
     from ..dataflow.sched import solve_scc
     from ..dataflow.solver import solve_stabilized
 
@@ -352,17 +341,13 @@ def run_solver(
                 "use solver='round-robin' for that"
             )
         return solve_stabilized(system, nodes, order_name=order, budget=budget)
-    if solver in ("scc", "scc-dense"):
+    if solver == "scc":
         if snapshot_passes:
             raise ValueError(
                 "snapshot_passes records per-sweep iterates, but the scc "
                 "solver has no global sweeps; use solver='round-robin'"
             )
-        if solver == "scc-dense" and dense is None:
-            dense = DenseConfig(mode="always")
-        return solve_scc(
-            system, nodes, order_name=f"{solver}/{order}", budget=budget, dense=dense
-        )
+        return solve_scc(system, nodes, order_name=f"{solver}/{order}", budget=budget)
     if solver == "round-robin":
         return solve_round_robin(
             system, nodes, order_name=order, snapshot_passes=snapshot_passes, budget=budget
@@ -380,14 +365,12 @@ def solve_parallel(
     snapshot_passes: bool = False,
     budget=None,
     record_provenance: bool = False,
-    dense=None,
 ) -> ReachingDefsResult:
     """Run the §5 parallel reaching-definitions system to fixpoint.
 
     ``record_provenance=True`` derives the justification graph after
     convergence and attaches it as ``result.provenance``
-    (:mod:`repro.provenance`).  ``dense`` tunes dense-region dispatch for
-    the scc engines (see :func:`run_solver`)."""
+    (:mod:`repro.provenance`)."""
     system = ParallelRDSystem(graph, backend=backend, record_provenance=record_provenance)
-    stats = run_solver(system, graph, order, solver, snapshot_passes, budget=budget, dense=dense)
+    stats = run_solver(system, graph, order, solver, snapshot_passes, budget=budget)
     return system.to_result(stats)

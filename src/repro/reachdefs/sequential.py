@@ -127,13 +127,8 @@ def solve_sequential(
     snapshot_passes: bool = False,
     budget=None,
     record_provenance: bool = False,
-    dense=None,
 ) -> ReachingDefsResult:
-    """Run sequential reaching definitions to fixpoint on ``graph``.
-
-    ``dense`` (a :class:`~repro.dataflow.dense.DenseConfig`) tunes
-    dense-region dispatch for the scc engines; ``solver="scc-dense"``
-    forces the vectorized evaluator on for eligible cyclic regions."""
+    """Run sequential reaching definitions to fixpoint on ``graph``."""
     system = SequentialRDSystem(graph, backend=backend, record_provenance=record_provenance)
     nodes = make_order(graph, order)
     if solver == "round-robin":
@@ -142,15 +137,10 @@ def solve_sequential(
         )
     elif solver == "worklist":
         stats = solve_worklist(system, nodes, order_name=f"worklist/{order}", budget=budget)
-    elif solver in ("scc", "scc-dense"):
-        from ..dataflow.dense import DenseConfig
+    elif solver == "scc":
         from ..dataflow.sched import solve_scc
 
-        if solver == "scc-dense" and dense is None:
-            dense = DenseConfig(mode="always")
-        stats = solve_scc(
-            system, nodes, order_name=f"{solver}/{order}", budget=budget, dense=dense
-        )
+        stats = solve_scc(system, nodes, order_name=f"scc/{order}", budget=budget)
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return system.to_result(stats)

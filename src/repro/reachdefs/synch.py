@@ -138,27 +138,8 @@ class SynchRDSystem(ParallelRDSystem):
         self.SynchPass[n] = new_sp
         return super().update_kill(n) | changed
 
-    def reset_kill(self) -> None:
-        super().reset_kill()
-        empty = self.ops.empty()
-        for n in self.graph.nodes:
-            self.SynchPass[n] = empty
-
-    def reset_kill_nodes(self, nodes: Iterable[PFGNode]) -> None:
-        nodes = list(nodes)
-        super().reset_kill_nodes(nodes)
-        empty = self.ops.empty()
-        for n in nodes:
-            self.SynchPass[n] = empty
-
-    def kill_state(self):
-        state = super().kill_state()
-        state["SynchPass"] = dict(self.SynchPass)
-        return state
-
-    def set_kill_state(self, state) -> None:
-        super().set_kill_state(state)
-        self.SynchPass.update(state["SynchPass"])
+    def _kill_slots(self):
+        return super()._kill_slots() + (("SynchPass", self.SynchPass),)
 
     # -- equation overrides -------------------------------------------------
 
@@ -206,14 +187,6 @@ class SynchRDSystem(ParallelRDSystem):
 
     # -- results --------------------------------------------------------------
 
-    def snapshot(self, nodes=None):
-        snap = super().snapshot(nodes)
-        ops = self.ops
-        if nodes is None:
-            nodes = self.graph.nodes
-        snap["SynchPass"] = {n.name: ops.to_frozenset(self.SynchPass[n]) for n in nodes}
-        return snap
-
     def to_result(self, stats: SolveStats) -> ReachingDefsResult:
         result = super().to_result(stats)
         ops = self.ops
@@ -234,7 +207,6 @@ def solve_synch(
     filter_synch_pass: bool = True,
     budget=None,
     record_provenance: bool = False,
-    dense=None,
 ) -> ReachingDefsResult:
     """Run the §6 synchronized reaching-definitions system to fixpoint.
 
@@ -258,5 +230,5 @@ def solve_synch(
         filter_synch_pass=filter_synch_pass,
         record_provenance=record_provenance,
     )
-    stats = run_solver(system, graph, order, solver, snapshot_passes, budget=budget, dense=dense)
+    stats = run_solver(system, graph, order, solver, snapshot_passes, budget=budget)
     return system.to_result(stats)

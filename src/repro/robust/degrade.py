@@ -134,7 +134,6 @@ def analyze_with_degradation(
     solver: str = "stabilized",
     preserved: str = "approx",
     budget: Optional[ResourceBudget] = None,
-    dense=None,
 ) -> Tuple[ReachingDefsResult, Optional[DegradationRecord]]:
     """Analyze with the ladder above; always returns a sound result.
 
@@ -147,9 +146,9 @@ def analyze_with_degradation(
        (:data:`BLOCKING_SYNC_ISSUES`) → start at ``no-preserved``;
     3. any rung exhausting its (renewed) budget → next rung.
 
-    ``solver`` / ``dense`` select the fixpoint engine and dense-region
-    configuration exactly as in :func:`repro.analyze`; every precise rung
-    uses them (the terminal conservative rung is solver-independent).
+    ``solver`` selects the fixpoint engine exactly as in
+    :func:`repro.analyze`; every precise rung uses it (the terminal
+    conservative rung is solver-independent).
     """
     from ..dataflow.cache import cached_build_pfg
 
@@ -229,7 +228,6 @@ def analyze_with_degradation(
             order=order,
             solver=solver,
             preserved="none",
-            dense=dense,
         )
         if result is not None:
             degraded = record(DegradationLevel.NO_PRESERVED)
@@ -242,7 +240,6 @@ def analyze_with_degradation(
             backend=backend,
             order=order,
             solver=solver,
-            dense=dense,
         )
         if result is not None:
             return result, None
@@ -255,7 +252,6 @@ def analyze_with_degradation(
             backend=backend,
             order=order,
             solver=seq_solver,
-            dense=dense,
         )
         if result is not None:
             return result, None

@@ -64,11 +64,8 @@ output, ``--profile OUT.jsonl`` exports the span/metric records as JSONL
 (schema ``repro-obs/1``, see ``docs/observability.md``).
 
 Solver flags (``analyze``/``report``/``check``/``stats``): ``--solver
-{stabilized,round-robin,worklist,scc,scc-dense}`` selects the fixpoint
-engine; ``scc`` is the sparse SCC-scheduled engine and ``scc-dense``
-additionally vectorizes large cyclic regions (``docs/performance.md``).
-``--region-workers N`` solves independent dense regions on N processes
-(scc engines only; results are identical, only wall-clock changes).
+{stabilized,round-robin,worklist,scc}`` selects the fixpoint engine;
+``scc`` is the sparse SCC-scheduled engine (``docs/performance.md``).
 
 Budget flags (``analyze``/``report``/``check``): ``--max-passes N`` and
 ``--deadline SECONDS`` bound the fixpoint solve
@@ -129,33 +126,11 @@ def _add_solver_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--solver",
         default="stabilized",
-        choices=["stabilized", "round-robin", "worklist", "scc", "scc-dense"],
+        choices=["stabilized", "round-robin", "worklist", "scc"],
         help="fixpoint engine: stabilized (deterministic default), the "
-        "paper's round-robin/worklist chaotic iteration, scc (sparse "
-        "SCC-scheduled; same fixpoints, fewer updates), or scc-dense "
-        "(scc with large cyclic regions vectorized; byte-identical)",
+        "paper's round-robin/worklist chaotic iteration, or scc (sparse "
+        "SCC-scheduled; same fixpoints, fewer updates)",
     )
-    p.add_argument(
-        "--region-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="solve independent dense regions on N processes (scc engines "
-        "only; identical results, wall-clock only)",
-    )
-
-
-def _dense_from(args: argparse.Namespace):
-    """A DenseConfig when the flags ask for one, else None (library
-    defaults).  ``--region-workers`` implies the dense path on ``scc``;
-    for ``scc-dense`` the solve layer already defaults to mode=always."""
-    workers = max(1, getattr(args, "region_workers", 1))
-    if workers == 1:
-        return None
-    from ..dataflow.dense import DenseConfig
-
-    mode = "always" if getattr(args, "solver", "") == "scc-dense" else "auto"
-    return DenseConfig(mode=mode, workers=workers)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -270,7 +245,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             order=args.order,
             solver=args.solver,
             preserved=args.preserved,
-            dense=_dense_from(args),
         )
         outcome = incremental_analyze(
             IncrementalBase.from_result(base_program, base_result),
@@ -279,7 +253,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             solver=args.solver,
             preserved=args.preserved,
             budget=_budget_from(args),
-            dense=_dense_from(args),
         )
         result = outcome.result
         incremental = outcome.stamp()
@@ -291,7 +264,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             solver=args.solver,
             preserved=args.preserved,
             budget=_budget_from(args),
-            dense=_dense_from(args),
         )
     if not result.stats.converged:  # pragma: no cover - solvers raise instead
         sys.stderr.write("error: solver did not converge\n")
@@ -355,7 +327,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         budget=_budget_from(args),
         degrade=not args.no_degrade,
         solver=args.solver,
-        dense=_dense_from(args),
     )
     sys.stdout.write(report.render())
     return 0
@@ -389,9 +360,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from ..driver import optimize
 
     prog = _load(args.file)
-    report = optimize(
-        prog, preserved=args.preserved, solver=args.solver, dense=_dense_from(args)
-    )
+    report = optimize(prog, preserved=args.preserved, solver=args.solver)
     if not args.no_run:
         run_program(
             prog,
@@ -410,13 +379,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         f"{len(result.graph)} blocks, {len(result.graph.defs)} definitions, "
         f"{effort} ({result.stats.order})\n"
     )
-    # Per-region dense dispatch, so the auto-mode thresholds are
-    # observable in the field (only the scc engines populate these).
-    if result.stats.dense_regions or result.stats.scalar_regions:
-        sys.stdout.write(
-            f"dense dispatch: {result.stats.dense_regions} region(s) vectorized, "
-            f"{result.stats.scalar_regions} scalar fallback\n"
-        )
     return 0
 
 

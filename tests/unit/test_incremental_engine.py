@@ -1,10 +1,9 @@
 """Unit: the incremental diff/engine internals, plus the cache-identity
-audit — region-row reuse must be valid across every wall-clock-only knob
-(dense ``workers`` above all), so no such knob may appear in a cache key."""
+audit — region-row reuse must be valid across every configuration, so no
+wall-clock-only knob may appear in a cache key."""
 
 from repro import analyze
-from repro.dataflow.cache import AnalysisCache, GLOBAL_CACHE, MISSING
-from repro.dataflow.dense import DenseConfig
+from repro.dataflow.cache import AnalysisCache, MISSING
 from repro.fuzz.oracles import default_oracle_names
 from repro.incremental import (
     IncrementalBase,
@@ -112,12 +111,8 @@ def test_store_and_lookup_base_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# Cache identity audit (the DenseConfig.workers contract)
+# Cache identity audit
 # ---------------------------------------------------------------------------
-
-
-def test_dense_key_excludes_workers():
-    assert DenseConfig(workers=1).key() == DenseConfig(workers=8).key()
 
 
 def test_incr_base_key_has_no_option_components():
@@ -131,41 +126,8 @@ def test_incr_base_key_has_no_option_components():
     base = store_base(program, result, cache=cache)
     assert cache.get(("incr", base.digest), MISSING) is base
     # …is found by lookups regardless of the requester's configuration:
-    # the key has no backend/solver/dense/workers components at all.
+    # the key has no backend/solver components at all.
     assert lookup_base(base.digest, cache=cache) is base
-
-
-def test_region_row_reuse_across_region_workers():
-    """Satellite contract: differing --region-workers values must share
-    the same retained base AND produce identical incremental results —
-    workers are wall-clock-only."""
-    program = workloads.diamond_chain(8)
-    base = IncrementalBase.from_result(
-        program, analyze(program, solver="scc", cache=False)
-    )
-    edited = _edited_diamond(8)
-    outcomes = [
-        incremental_analyze(
-            base, edited, cache=False,
-            dense=DenseConfig(mode="auto", workers=w),
-        )
-        for w in (1, 4)
-    ]
-    a, b = outcomes
-    assert a.regions_reused == b.regions_reused >= 1
-    for n in a.result.graph.nodes:
-        for slot in ("In", "Out"):
-            assert a.result.set_names(slot, n.name) == b.result.set_names(slot, n.name)
-
-
-def test_analyze_cache_hits_across_workers():
-    """The full-result analyze cache already ignores workers via
-    DenseConfig.key(); pin it so the knob never leaks back in."""
-    GLOBAL_CACHE.clear()
-    program = workloads.diamond_chain(5)
-    r1 = analyze(program, solver="scc", dense=DenseConfig(mode="auto", workers=1))
-    r2 = analyze(program, solver="scc", dense=DenseConfig(mode="auto", workers=4))
-    assert r1 is r2  # second call is a cache hit, not a re-solve
 
 
 def test_serve_key_audit_no_wallclock_knobs():
