@@ -3,8 +3,8 @@
 Every ``bench_*`` module regenerates one of the paper's tables/figures
 (asserting the golden content, outside the timed region) and measures the
 code path that produces it; the ``bench_scaling``/``bench_orders``/
-``bench_backends``/``bench_preserved_ablation`` modules measure the
-machinery on synthetic workloads.
+``bench_preserved_ablation`` modules measure the machinery on synthetic
+workloads.
 
 Run:  pytest benchmarks/ --benchmark-only
 

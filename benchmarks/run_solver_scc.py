@@ -17,7 +17,7 @@ against the checked-in file, and enforces two perf gates:
   checks run once per round over every row), under both ``scc`` and
   ``stabilized``: node updates match :data:`WIDE_CYCLIC_UPDATES`, the
   fixpoint decodes no row to a frozenset (counted by wrapping the
-  system's backend), and its CPU time is at most
+  system's ``ops.to_frozenset``), and its CPU time is at most
   :data:`WIDE_CYCLIC_MAX_RATIO` of one frozenset decode of every final
   row, timed in the same run.  A convergence check that decodes rows
   costs several decodes per solve and fails the ratio.

@@ -38,7 +38,6 @@ __version__ = "1.0.0"
 
 def analyze(
     program: "ast.Program",
-    backend: str = "bitset",
     order: str = "document",
     solver: str = "stabilized",
     preserved: str = "approx",
@@ -92,7 +91,6 @@ def analyze(
         key = (
             "analyze",
             program_digest(program),
-            backend,
             order,
             solver,
             preserved,
@@ -115,12 +113,12 @@ def analyze(
     uses_parallel = bool(graph.forks) or bool(graph.pardos)
     if uses_sync:
         result = solve_synch(
-            graph, backend=backend, order=order, solver=solver, preserved=preserved,
+            graph, order=order, solver=solver, preserved=preserved,
             budget=budget, record_provenance=record_provenance,
         )
     elif uses_parallel:
         result = solve_parallel(
-            graph, backend=backend, order=order, solver=solver, budget=budget,
+            graph, order=order, solver=solver, budget=budget,
             record_provenance=record_provenance,
         )
     else:
@@ -129,7 +127,7 @@ def analyze(
             # chaotic solver already yields the stabilized answer.
             solver = "round-robin"
         result = solve_sequential(
-            graph, backend=backend, order=order, solver=solver, budget=budget,
+            graph, order=order, solver=solver, budget=budget,
             record_provenance=record_provenance,
         )
     if key is not None:

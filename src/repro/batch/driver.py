@@ -66,7 +66,6 @@ class BatchOptions:
     """Per-task pipeline options (picklable: plain fields only, so one
     instance travels to every pool worker)."""
 
-    backend: str = "bitset"
     preserved: str = "approx"
     solver: str = "stabilized"
     #: Honor the degradation ladder (``False`` = fail fast per task).
@@ -129,7 +128,6 @@ def run_task(path: str, options: BatchOptions) -> Dict[str, object]:
             record["digest"] = program_digest(program)
             report = optimize(
                 program,
-                backend=options.backend,
                 preserved=options.preserved,
                 budget=options.budget(),
                 degrade=options.degrade,

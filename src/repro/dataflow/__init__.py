@@ -1,16 +1,9 @@
-"""Data-flow machinery: set backends, equation framework, fixpoint solvers."""
+"""Data-flow machinery: bitset sets, equation framework, fixpoint solvers."""
 
-from .bitset import (
-    BACKENDS,
-    FrozensetBackend,
-    IntBitsetBackend,
-    NumpyBitsetBackend,
-    SetBackend,
-    make_backend,
-)
+from .bitset import IntBitsetBackend, make_backend
 from .budget import BudgetExceeded, NonConvergenceError, ResourceBudget, check_budget
 from .cache import GLOBAL_CACHE, AnalysisCache, cached_build_pfg, program_digest
-from .framework import EquationSystem, FixpointDiverged, SolveStats, VariableMap
+from .framework import EquationSystem, FixpointDiverged, SolveStats
 from .sched import Region, Schedule, build_schedule, get_schedule, solve_scc
 from .solver import (
     DEFAULT_MAX_PASSES,
@@ -36,16 +29,11 @@ __all__ = [
     "build_schedule",
     "get_schedule",
     "solve_scc",
-    "BACKENDS",
-    "FrozensetBackend",
     "IntBitsetBackend",
-    "NumpyBitsetBackend",
-    "SetBackend",
     "make_backend",
     "EquationSystem",
     "FixpointDiverged",
     "SolveStats",
-    "VariableMap",
     "DEFAULT_MAX_PASSES",
     "SOLVERS",
     "make_order",

@@ -16,7 +16,7 @@ how their ASTs were produced):
   it was computed from; the memo is dropped by ``graph._invalidate()``
   on mutation);
 * full ``analyze`` results — keyed by digest **plus** every
-  result-affecting option (backend, order, solver, preserved), in
+  result-affecting option (order, solver, preserved), in
   :func:`repro.analyze`.
 
 All entries live in bounded-LRU :class:`AnalysisCache` instances

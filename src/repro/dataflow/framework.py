@@ -139,22 +139,3 @@ class FixpointDiverged(RuntimeError):
         self.stats = stats
         super().__init__(f"no fixpoint after {stats.passes} passes ({stats.node_updates} updates)")
 
-
-@dataclass
-class VariableMap(Generic[N]):
-    """Tiny helper: one named set-variable per node, with change tracking
-    delegated to a backend ``equals``."""
-
-    name: str
-    values: Dict[N, object] = field(default_factory=dict)
-
-    def get(self, node: N) -> object:
-        return self.values[node]
-
-    def set(self, node: N, value: object, equals) -> bool:
-        """Store ``value``; return True iff it differs from the old value."""
-        old = self.values.get(node)
-        if old is not None and equals(old, value):
-            return False
-        self.values[node] = value
-        return True

@@ -382,7 +382,7 @@ def stabilize(system, nodes, sweep, stats: SolveStats, max_rounds: int) -> Optio
     unchanged.  A repeated state is an oscillation: the kill layer is met
     over the cycle, one final flow phase runs, and ``stats.order`` gains
     ``+cycle``.  States are compared as ``system.state_key(nodes)`` —
-    raw backend values, never decoded sets, so a round costs one compare
+    raw bitset values, never decoded sets, so a round costs one compare
     per row on top of its sweeps.
 
     Returns the number of rounds run, or None when ``max_rounds`` rounds

@@ -134,7 +134,6 @@ class OptimizationReport:
 
 def optimize(
     source: Union[str, ast.Program],
-    backend: str = "bitset",
     preserved: str = "approx",
     observable_at_exit: bool = True,
     budget: Optional[ResourceBudget] = None,
@@ -168,15 +167,15 @@ def optimize(
     with tracer.span("optimize") as pipeline:
         program = parse_program(source) if isinstance(source, str) else source
         degradation: Optional[DegradationRecord] = None
-        with tracer.span("analyze", backend=backend, preserved=preserved):
+        with tracer.span("analyze", preserved=preserved):
             if degrade:
                 result, degradation = analyze_with_degradation(
-                    program, backend=backend, solver=solver, preserved=preserved,
+                    program, solver=solver, preserved=preserved,
                     budget=budget,
                 )
             else:
                 result = analyze(
-                    program, backend=backend, solver=solver, preserved=preserved,
+                    program, solver=solver, preserved=preserved,
                     budget=budget,
                 )
 

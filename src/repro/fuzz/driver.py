@@ -80,7 +80,6 @@ class FuzzOptions:
     #: Campaign budget: wall-clock seconds / total generated statements.
     deadline_s: Optional[float] = None
     max_stmts: Optional[int] = None
-    backend: str = "bitset"
     dynamic_runs: int = 3
     max_loop_iters: int = 2
     mutation_seed: int = 0
@@ -97,7 +96,6 @@ class FuzzOptions:
 
     def oracle_config(self) -> OracleConfig:
         return OracleConfig(
-            backend=self.backend,
             mutation_seed=self.mutation_seed,
             dynamic_runs=self.dynamic_runs,
             max_loop_iters=self.max_loop_iters,
@@ -336,7 +334,7 @@ def run_drill(drill: int, options: FuzzOptions) -> Dict[str, object]:
     def corruption_detected(candidate: ast.Program) -> bool:
         """True when a seeded corruption of the candidate's (sound)
         analysis is flagged by the dynamic self-check."""
-        result = _solve_precise(build_pfg(candidate), options.backend)
+        result = _solve_precise(build_pfg(candidate))
         run = run_program(
             candidate,
             scheduler=RandomScheduler(seed=0, max_loop_iters=options.max_loop_iters),

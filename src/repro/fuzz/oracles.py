@@ -106,7 +106,6 @@ class OracleConfig:
     """Knobs shared by the registry (one instance per campaign)."""
 
     solvers: Tuple[str, ...] = ALL_SOLVERS
-    backend: str = "bitset"
     mutators: Tuple[str, ...] = tuple(MUTATORS)
     mutation_seed: int = 0
     #: Seeded interpreter schedules for the dynamic oracle.
@@ -148,7 +147,6 @@ def default_oracle_names(dynamic: bool = False) -> Tuple[str, ...]:
 
 def _solve_precise(
     graph,
-    backend: str,
     solver: str = "stabilized",
     preserved: str = "approx",
     record_provenance: bool = False,
@@ -161,20 +159,19 @@ def _solve_precise(
     if uses_sync:
         return solve_synch(
             graph,
-            backend=backend,
             solver=solver,
             preserved=preserved,
             record_provenance=record_provenance,
         )
     if uses_parallel:
         return solve_parallel(
-            graph, backend=backend, solver=solver, record_provenance=record_provenance
+            graph, solver=solver, record_provenance=record_provenance
         )
     if solver == "stabilized":
         # Sequential system: chaotic iteration is already deterministic.
         solver = "round-robin"
     return solve_sequential(
-        graph, backend=backend, solver=solver, record_provenance=record_provenance
+        graph, solver=solver, record_provenance=record_provenance
     )
 
 
@@ -222,7 +219,7 @@ def solver_agreement(program: ast.Program, cfg: OracleConfig) -> List[OracleFail
     the deterministic least resolution would mean lost soundness facts.
     """
     graph = build_pfg(program)
-    results = {s: _solve_precise(graph, cfg.backend, solver=s) for s in cfg.solvers}
+    results = {s: _solve_precise(graph, solver=s) for s in cfg.solvers}
     baseline_name = cfg.solvers[0]
     baseline = results[baseline_name]
     exact_mode = solver_agreement_mode(program) == "exact"
@@ -266,11 +263,11 @@ def system_bounds(program: ast.Program, cfg: OracleConfig) -> List[OracleFailure
                 failures.append(OracleFailure("system-bounds", detail))
 
     graph = build_pfg(program)
-    full = _solve_precise(graph, cfg.backend)
-    cons = solve_conservative(build_pfg(program), backend=cfg.backend)
+    full = _solve_precise(graph)
+    cons = solve_conservative(build_pfg(program))
     uses_sync = bool(graph.posts_of_event or graph.waits_of_event)
     blunt = (
-        solve_synch(build_pfg(program), backend=cfg.backend, preserved="none")
+        solve_synch(build_pfg(program), preserved="none")
         if uses_sync
         else None
     )
@@ -405,13 +402,13 @@ def _chain_mismatches(
 def metamorphic(program: ast.Program, cfg: OracleConfig) -> List[OracleFailure]:
     """Each transform leaves reaching chains unchanged modulo its maps."""
     metrics = get_metrics()
-    base = _solve_precise(build_pfg(program), cfg.backend)
+    base = _solve_precise(build_pfg(program))
     failures: List[OracleFailure] = []
     mismatches = 0
     for mutation in apply_mutators(program, cfg.mutation_seed, names=cfg.mutators):
         if metrics.enabled:
             metrics.inc("fuzz.mutants")
-        mutant = _solve_precise(build_pfg(mutation.program), cfg.backend)
+        mutant = _solve_precise(build_pfg(mutation.program))
         for detail in _chain_mismatches(program, base, mutation, mutant):
             mismatches += 1
             if len(failures) < MAX_DETAILS:
@@ -434,7 +431,7 @@ def provenance_chains(program: ast.Program, cfg: OracleConfig) -> List[OracleFai
     * the SCC engine yields the *identical* canonical justification graph
       (provenance must not depend on the visit schedule).
     """
-    base = _solve_precise(build_pfg(program), cfg.backend, record_provenance=True)
+    base = _solve_precise(build_pfg(program), record_provenance=True)
     prov = base.provenance
     failures: List[OracleFailure] = []
     total = 0
@@ -467,7 +464,7 @@ def provenance_chains(program: ast.Program, cfg: OracleConfig) -> List[OracleFai
                     f"chain of {d.name} ends at ({last.fact.node.name}), "
                     f"not the use's block ({node.name})"
                 )
-    scc = _solve_precise(build_pfg(program), cfg.backend, solver="scc", record_provenance=True)
+    scc = _solve_precise(build_pfg(program), solver="scc", record_provenance=True)
     if scc.provenance.canonical() != prov.canonical():
         fail("scc justification graph differs from stabilized")
     return _trim(failures, total) if total > MAX_DETAILS else failures
@@ -505,13 +502,13 @@ def incremental_equivalence(
         base = IncrementalBase(
             program=program,
             graph=base_graph,
-            result=_solve_precise(base_graph, cfg.backend, solver=solver),
+            result=_solve_precise(base_graph, solver=solver),
         )
         outcome = incremental_analyze(
-            base, edit.program, backend=cfg.backend, solver=solver,
+            base, edit.program, solver=solver,
             cache=False, verify=True,
         )
-        scratch = _solve_precise(build_pfg(edit.program), cfg.backend, solver=solver)
+        scratch = _solve_precise(build_pfg(edit.program), solver=solver)
         slots: Tuple[str, ...] = ("In", "Out")
         if scratch.acc_killin is not None and outcome.result.acc_killin is not None:
             slots += ("ACCKillin", "ACCKillout", "ForkKill")
@@ -539,7 +536,7 @@ def dynamic_selfcheck(program: ast.Program, cfg: OracleConfig) -> List[OracleFai
     the generator's contract, never deadlock)."""
     from ..robust.selfcheck import verify_result
 
-    result = _solve_precise(build_pfg(program), cfg.backend)
+    result = _solve_precise(build_pfg(program))
     violations, deadlocked = verify_result(
         result,
         program,

@@ -26,10 +26,10 @@ stays whole-program: any Post/Wait on either side triggers a full-solve
 fallback (counted, never wrong).
 
 The base state lives in :data:`~repro.dataflow.cache.GLOBAL_CACHE` under
-``("incr", <program digest>)``.  The key carries **no** backend or
-solver components on purpose: the retained rows are backend-independent
-``frozenset`` values and solver choice never changes them, so one base
-serves every configuration.
+``("incr", <program digest>)``.  The key carries **no** solver
+component on purpose: the retained rows are decoded ``frozenset``
+values and solver choice never changes them, so one base serves every
+configuration.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def store_base(program: ast.Program, result: ReachingDefsResult,
                cache=None) -> Optional[IncrementalBase]:
     """Retain ``result`` as the incremental base for ``program``.
 
-    Stored under ``("incr", digest)`` — deliberately no backend or
-    solver components (see module docstring).  Results from
+    Stored under ``("incr", digest)`` — deliberately no solver
+    component (see module docstring).  Results from
     systems the engine cannot extend (conservative, synch) are stored
     too: a later delta against them falls back cleanly, and the entry
     still answers "have we seen this digest".
@@ -141,7 +141,6 @@ def lookup_base(digest: str, cache=None) -> Optional[IncrementalBase]:
 def _full_solve(
     program: ast.Program,
     *,
-    backend: str,
     solver: str,
     preserved: str,
     budget,
@@ -152,7 +151,6 @@ def _full_solve(
 
     return analyze(
         program,
-        backend=backend,
         solver=solver,
         preserved=preserved,
         budget=budget,
@@ -165,7 +163,6 @@ def incremental_analyze(
     base: IncrementalBase,
     program: ast.Program,
     *,
-    backend: str = "bitset",
     solver: str = "stabilized",
     preserved: str = "approx",
     budget=None,
@@ -197,7 +194,7 @@ def incremental_analyze(
         # must not pay PFG construction twice (the overhead gate in
         # benchmarks/run_incremental.py pins this at <= 5%).
         result = _full_solve(
-            program, backend=backend, solver=solver, preserved=preserved,
+            program, solver=solver, preserved=preserved,
             budget=budget, cache=cache, graph=graph,
         )
         if cache:
@@ -218,7 +215,7 @@ def incremental_analyze(
         return fall_back(FALLBACK_UNMATCHED)
 
     if family == "parallel":
-        system = ParallelRDSystem(graph, backend=backend)
+        system = ParallelRDSystem(graph)
         base_rows = {
             "In": base.result.in_sets,
             "Out": base.result.out_sets,
@@ -227,7 +224,7 @@ def incremental_analyze(
             "ForkKill": base.result.fork_kill,
         }
     else:
-        system = SequentialRDSystem(graph, backend=backend)
+        system = SequentialRDSystem(graph)
         base_rows = {"_in": base.result.in_sets, "_out": base.result.out_sets}
 
     schedule = get_schedule(system)

@@ -19,7 +19,7 @@ class Definition:
     """A single static definition site of a scalar variable.
 
     Identity is the ``index`` (assigned densely, in program order), which is
-    also the definition's bit position in bit-vector backends.  ``site``
+    also the definition's bit position in the bit-vector sets.  ``site``
     is the label of the block containing the definition, so ``str(d)``
     matches the paper's ``x4`` naming.
     """
@@ -74,7 +74,7 @@ class Use:
 class DefTable:
     """Dense registry of all definitions in one program.
 
-    Also the *universe* for set representations: definition ``d`` occupies
+    Also the *universe* of the bit-vector sets: definition ``d`` occupies
     bit ``d.index`` and ``len(table)`` is the universe size.
     """
 
@@ -82,6 +82,8 @@ class DefTable:
         self._defs: List[Definition] = []
         self._by_var: Dict[str, List[Definition]] = {}
         self._by_name: Dict[str, Definition] = {}
+        #: Last ``'k`` suffix handed out per base name.
+        self._bumps: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._defs)
@@ -106,11 +108,13 @@ class DefTable:
         base = d.name
         if base in self._by_name:
             shadowed = self._by_name.pop(base)
-            bump = 1
-            new_name = f"{base}'{bump}"
-            while new_name in self._by_name:
+            # Suffixed names are only created here and never removed, so
+            # resume after the last suffix instead of probing from 1.
+            bump = self._bumps.get(base, 0) + 1
+            while f"{base}'{bump}" in self._by_name:
                 bump += 1
-                new_name = f"{base}'{bump}"
+            self._bumps[base] = bump
+            new_name = f"{base}'{bump}"
             object.__setattr__(shadowed, "name", new_name)
             self._by_name[new_name] = shadowed
         self._by_name[base] = d

@@ -18,9 +18,9 @@ On the command line the same session backs ``python -m repro report FILE
 --trace`` / ``--profile out.jsonl`` and ``python -m repro stats FILE``.
 
 ``session(count_bitset_ops=True)`` additionally makes
-:func:`repro.dataflow.bitset.make_backend` wrap backends in a counting
-proxy that records set-operation and word-operation totals — accurate but
-not free, hence opt-in separately from spans.
+:func:`repro.dataflow.bitset.make_backend` return the counting bitset
+backend, which records set-operation and word-operation totals — accurate
+but not free, hence opt-in separately from spans.
 
 See ``docs/observability.md`` for the span taxonomy and the JSONL schema.
 """
@@ -96,8 +96,8 @@ __all__ = [
     "write_jsonl",
 ]
 
-#: When True, ``make_backend`` wraps backends in a counting proxy.  Module
-#: state rather than a Metrics feature so the check in the (hot) backend
+#: When True, ``make_backend`` returns the counting backend.  Module state
+#: rather than a Metrics feature so the check in the (hot) backend
 #: constructor is a plain global read.
 _count_bitset_ops: bool = False
 

@@ -46,12 +46,11 @@ class ConservativeRDSystem(EquationSystem[PFGNode]):
     def __init__(
         self,
         graph: ParallelFlowGraph,
-        backend: str = "bitset",
         info: Optional[GenKillInfo] = None,
     ):
         self.graph = graph
         self.info = info if info is not None else compute_genkill(graph)
-        self.ops = make_backend(backend, list(graph.defs))
+        self.ops = make_backend(list(graph.defs))
         self._gen = {n: self.ops.from_defs(self.info.gen[n]) for n in graph.nodes}
         self._preds = {n: graph.all_preds(n) for n in graph.nodes}
         self._in: Dict[PFGNode, object] = {}
@@ -99,7 +98,6 @@ class ConservativeRDSystem(EquationSystem[PFGNode]):
 
 def solve_conservative(
     graph: ParallelFlowGraph,
-    backend: str = "bitset",
     order: str = "document",
     budget=None,
 ) -> ReachingDefsResult:
@@ -110,7 +108,7 @@ def solve_conservative(
     bounded by the graph diameter.  A ``budget`` may still be passed for
     symmetry (e.g. to bound a direct caller).
     """
-    system = ConservativeRDSystem(graph, backend=backend)
+    system = ConservativeRDSystem(graph)
     nodes = make_order(graph, order)
     stats = solve_round_robin(system, nodes, order_name=order, budget=budget)
     return system.to_result(stats)

@@ -60,7 +60,6 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
     def __init__(
         self,
         graph: ParallelFlowGraph,
-        backend: str = "bitset",
         info: Optional[GenKillInfo] = None,
         record_provenance: bool = False,
     ):
@@ -68,7 +67,7 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         self.wants_provenance = record_provenance
         self._provenance = None
         self.info = info if info is not None else compute_genkill(graph)
-        self.ops = make_backend(backend, list(graph.defs))
+        self.ops = make_backend(list(graph.defs))
         ops = self.ops
         self._gen = {n: ops.from_defs(self.info.gen[n]) for n in graph.nodes}
         self._kill = {n: ops.from_defs(self.info.kill[n]) for n in graph.nodes}
@@ -274,10 +273,9 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         }
 
     def state_key(self, nodes):
-        """Raw-valued image of every slot over ``nodes``, for the stabilized
+        """Raw bitset image of every slot over ``nodes``, for the stabilized
         convergence checks: equal keys iff equal state, with no decode."""
-        key = self.ops.key
-        return tuple(key(slot[n]) for _, slot in self._slots() for n in nodes)
+        return tuple(slot[n] for _, slot in self._slots() for n in nodes)
 
     def to_result(self, stats: SolveStats, known=None) -> ReachingDefsResult:
         """``known`` maps slot name → {node: frozenset} for rows whose
@@ -359,7 +357,6 @@ def run_solver(system, graph, order: str, solver: str, snapshot_passes: bool, bu
 
 def solve_parallel(
     graph: ParallelFlowGraph,
-    backend: str = "bitset",
     order: str = "document",
     solver: str = "stabilized",
     snapshot_passes: bool = False,
@@ -371,6 +368,6 @@ def solve_parallel(
     ``record_provenance=True`` derives the justification graph after
     convergence and attaches it as ``result.provenance``
     (:mod:`repro.provenance`)."""
-    system = ParallelRDSystem(graph, backend=backend, record_provenance=record_provenance)
+    system = ParallelRDSystem(graph, record_provenance=record_provenance)
     stats = run_solver(system, graph, order, solver, snapshot_passes, budget=budget)
     return system.to_result(stats)

@@ -27,12 +27,11 @@ from .result import ReachingDefsResult
 
 
 class SequentialRDSystem(EquationSystem[PFGNode]):
-    """Equation system for §2; works over any set backend."""
+    """Equation system for §2."""
 
     def __init__(
         self,
         graph: ParallelFlowGraph,
-        backend: str = "bitset",
         info: Optional[GenKillInfo] = None,
         record_provenance: bool = False,
     ):
@@ -40,7 +39,7 @@ class SequentialRDSystem(EquationSystem[PFGNode]):
         self.wants_provenance = record_provenance
         self._provenance = None
         self.info = info if info is not None else compute_genkill(graph)
-        self.ops = make_backend(backend, list(graph.defs))
+        self.ops = make_backend(list(graph.defs))
         ops = self.ops
         self._gen = {n: ops.from_defs(self.info.gen[n]) for n in graph.nodes}
         # Classical kill: every other definition of a variable defined here.
@@ -121,7 +120,6 @@ class SequentialRDSystem(EquationSystem[PFGNode]):
 
 def solve_sequential(
     graph: ParallelFlowGraph,
-    backend: str = "bitset",
     order: str = "document",
     solver: str = "round-robin",
     snapshot_passes: bool = False,
@@ -129,7 +127,7 @@ def solve_sequential(
     record_provenance: bool = False,
 ) -> ReachingDefsResult:
     """Run sequential reaching definitions to fixpoint on ``graph``."""
-    system = SequentialRDSystem(graph, backend=backend, record_provenance=record_provenance)
+    system = SequentialRDSystem(graph, record_provenance=record_provenance)
     nodes = make_order(graph, order)
     if solver == "round-robin":
         stats = solve_round_robin(

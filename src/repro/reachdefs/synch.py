@@ -91,13 +91,12 @@ class SynchRDSystem(ParallelRDSystem):
         self,
         graph: ParallelFlowGraph,
         preserved: PreservedResult,
-        backend: str = "bitset",
         info: Optional[GenKillInfo] = None,
         filter_synch_pass: bool = True,
         record_provenance: bool = False,
     ):
         super().__init__(
-            graph, backend=backend, info=info, record_provenance=record_provenance
+            graph, info=info, record_provenance=record_provenance
         )
         self.preserved = preserved
         self.filter_synch_pass = filter_synch_pass
@@ -198,7 +197,6 @@ class SynchRDSystem(ParallelRDSystem):
 
 def solve_synch(
     graph: ParallelFlowGraph,
-    backend: str = "bitset",
     order: str = "document",
     solver: str = "stabilized",
     preserved: str = "approx",
@@ -226,7 +224,6 @@ def solve_synch(
     system = SynchRDSystem(
         graph,
         preserved=pres,
-        backend=backend,
         filter_synch_pass=filter_synch_pass,
         record_provenance=record_provenance,
     )

@@ -129,7 +129,6 @@ def _aggregate_spend(budgets: List[ResourceBudget]) -> Dict[str, object]:
 
 def analyze_with_degradation(
     source: Union[ast.Program, ParallelFlowGraph],
-    backend: str = "bitset",
     order: str = "document",
     solver: str = "stabilized",
     preserved: str = "approx",
@@ -193,7 +192,7 @@ def analyze_with_degradation(
         more = f" (+{len(err.violations) - 1} more)" if len(err.violations) > 1 else ""
         reasons.append(f"malformed graph: {first}{more}")
         with tracer.span("degrade", level="conservative"):
-            result = solve_conservative(graph, backend=backend, order=order)
+            result = solve_conservative(graph, order=order)
         return result, record(DegradationLevel.CONSERVATIVE)
 
     start = DegradationLevel.FULL
@@ -213,7 +212,6 @@ def analyze_with_degradation(
                 DegradationLevel.FULL,
                 solve_synch,
                 graph=graph,
-                backend=backend,
                 order=order,
                 solver=solver,
                 preserved=preserved,
@@ -224,7 +222,6 @@ def analyze_with_degradation(
             DegradationLevel.NO_PRESERVED,
             solve_synch,
             graph=graph,
-            backend=backend,
             order=order,
             solver=solver,
             preserved="none",
@@ -237,7 +234,6 @@ def analyze_with_degradation(
             DegradationLevel.FULL,
             solve_parallel,
             graph=graph,
-            backend=backend,
             order=order,
             solver=solver,
         )
@@ -249,7 +245,6 @@ def analyze_with_degradation(
             DegradationLevel.FULL,
             solve_sequential,
             graph=graph,
-            backend=backend,
             order=order,
             solver=seq_solver,
         )
@@ -257,5 +252,5 @@ def analyze_with_degradation(
             return result, None
 
     with tracer.span("degrade", level="conservative"):
-        result = solve_conservative(graph, backend=backend, order=order)
+        result = solve_conservative(graph, order=order)
     return result, record(DegradationLevel.CONSERVATIVE)

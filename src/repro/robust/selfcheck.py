@@ -96,7 +96,6 @@ def self_check(
     program: ast.Program,
     runs: int = 5,
     max_loop_iters: int = 2,
-    backend: str = "bitset",
     order: str = "document",
     solver: str = "stabilized",
     preserved: str = "approx",
@@ -113,7 +112,6 @@ def self_check(
     with tracer.span("selfcheck", runs=str(len(seeds))):
         result, record = analyze_with_degradation(
             program,
-            backend=backend,
             order=order,
             solver=solver,
             preserved=preserved,

@@ -7,8 +7,8 @@ Every RPC exchange is JSON over HTTP.  A request is::
     {"id": "req-1",                  # required, client-chosen, echoed back
      "method": "analyze",            # the only method today
      "params": {"source": "program ... end program",
-                "backend": "bitset", "preserved": "approx",
-                "solver": "stabilized", "max_passes": null,
+                "preserved": "approx", "solver": "stabilized",
+                "max_passes": null,
                 "deadline_s": null,
                 "base_digest": null},    # delta form: see below
      "chaos": {"kill_attempts": 0, "delay_ms": 0}}   # honored only with --chaos
@@ -95,7 +95,6 @@ HTTP_STATUS: Dict[str, int] = {
     "draining": 503,
 }
 
-VALID_BACKENDS = ("set", "bitset", "numpy")
 VALID_PRESERVED = ("approx", "none")
 VALID_SOLVERS = ("stabilized", "round-robin", "worklist", "scc")
 VALID_METHODS = ("analyze",)
@@ -130,7 +129,6 @@ def validate_request(obj: object) -> Dict[str, object]:
     if not isinstance(source, str) or not source.strip():
         raise ProtocolError("'params.source' must be non-empty program text")
     for key, valid in (
-        ("backend", VALID_BACKENDS),
         ("preserved", VALID_PRESERVED),
         ("solver", VALID_SOLVERS),
     ):

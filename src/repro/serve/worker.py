@@ -113,7 +113,6 @@ def execute_request(
         "result": None,
         "degradation": None,
     }
-    backend = str(params.get("backend") or "bitset")
     preserved = str(params.get("preserved") or "approx")
     solver = str(params.get("solver") or "stabilized")
     max_passes = params.get("max_passes")
@@ -130,7 +129,6 @@ def execute_request(
             serve_key = (
                 "serve",
                 source_digest,
-                backend,
                 preserved,
                 solver,
                 max_passes,
@@ -157,7 +155,6 @@ def execute_request(
                     outcome = incremental_analyze(
                         state,
                         program,
-                        backend=backend,
                         solver=solver,
                         preserved=preserved,
                         budget=budget,
@@ -184,7 +181,7 @@ def execute_request(
                 pass
             elif level >= 2:
                 graph = cached_build_pfg(program)
-                result = solve_conservative(graph, backend=backend)
+                result = solve_conservative(graph)
                 anomalies = find_anomalies(result)
                 sync_issues = lint_synchronization(graph)
                 degradation = {
@@ -196,7 +193,6 @@ def execute_request(
             else:
                 report = optimize(
                     program,
-                    backend=backend,
                     preserved="none" if level >= 1 else preserved,
                     budget=budget,
                     degrade=True,

@@ -241,7 +241,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         base_program = _load(args.base)
         base_result = _analyze(
             base_program,
-            backend=args.backend,
             order=args.order,
             solver=args.solver,
             preserved=args.preserved,
@@ -249,7 +248,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         outcome = incremental_analyze(
             IncrementalBase.from_result(base_program, base_result),
             _load(args.file),
-            backend=args.backend,
             solver=args.solver,
             preserved=args.preserved,
             budget=_budget_from(args),
@@ -259,7 +257,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         result = _analyze(
             _load(args.file),
-            backend=args.backend,
             order=args.order,
             solver=args.solver,
             preserved=args.preserved,
@@ -402,7 +399,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     result = _analyze(
         _load(args.file),
-        backend=args.backend,
         solver=args.solver,
         preserved=args.preserved,
         record_provenance=True,
@@ -425,7 +421,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_races(args: argparse.Namespace) -> int:
     result = _analyze(
         _load(args.file),
-        backend=args.backend,
         solver=args.solver,
         preserved=args.preserved,
         record_provenance=args.explain,
@@ -529,7 +524,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         manifest_out = args.resume
         resume = True
     options = BatchOptions(
-        backend=args.backend,
         preserved=args.preserved,
         solver=args.solver,
         degrade=not args.no_degrade,
@@ -604,7 +598,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         shrink_failures=not args.no_shrink,
         deadline_s=args.deadline,
         max_stmts=args.max_stmts,
-        backend=args.backend,
         max_loop_iters=args.max_loop_iters,
     )
     report = run_campaign(options, manifest_path=args.out)
@@ -639,7 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prior program version: analyze FILE incrementally off BASE's "
         "solve, reusing unperturbed SCC regions (repro.incremental)",
     )
-    p.add_argument("--backend", default="bitset", choices=["set", "bitset", "numpy"])
     p.add_argument("--order", default="document")
     p.add_argument("--preserved", default="approx", choices=["approx", "none"])
     _add_solver_flag(p)
@@ -729,7 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an interrupted campaign: skip tasks with terminal "
         "records in this repro-batch/1 manifest and append the rest to it",
     )
-    p.add_argument("--backend", default="bitset", choices=["set", "bitset", "numpy"])
     p.add_argument("--preserved", default="approx", choices=["approx", "none"])
     p.add_argument(
         "--no-degrade",
@@ -888,7 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT.jsonl",
         help="stream the repro-fuzz/1 JSONL manifest here",
     )
-    p.add_argument("--backend", default="bitset", choices=["set", "bitset", "numpy"])
     p.add_argument("--max-loop-iters", type=int, default=2)
     p.add_argument(
         "--deadline",
@@ -915,7 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="X",
         help="restrict to one variable (read there, or reaching block entry)",
     )
-    p.add_argument("--backend", default="bitset", choices=["set", "bitset", "numpy"])
     p.add_argument("--preserved", default="approx", choices=["approx", "none"])
     _add_solver_flag(p)
     p.set_defaults(func=cmd_explain)
@@ -935,7 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report multiple-values warnings (default: race severity only)",
     )
-    p.add_argument("--backend", default="bitset", choices=["set", "bitset", "numpy"])
     p.add_argument("--preserved", default="approx", choices=["approx", "none"])
     _add_solver_flag(p)
     p.set_defaults(func=cmd_races)

@@ -64,7 +64,7 @@ class TestHealthyPath:
 
     def test_parallel_program_and_options(self, chaos_daemon):
         with _client(chaos_daemon) as c:
-            status, env = c.rpc(PAR, 2, options={"backend": "set", "solver": "worklist"})
+            status, env = c.rpc(PAR, 2, options={"solver": "worklist"})
         assert status == 200
         assert env["status"] in ("ok", "degraded")
         assert env["result"]["program"] == "par"

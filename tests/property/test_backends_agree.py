@@ -1,25 +1,11 @@
-"""Property: all three set backends compute identical fixpoints, and the
-backend operations agree with frozenset semantics on random inputs."""
+"""Property: every bitset operation the equation systems call agrees with
+Python ``frozenset`` semantics on random inputs."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import analyze
-from repro.dataflow.bitset import BACKENDS, make_backend
+from repro.dataflow.bitset import make_backend
 from repro.ir.defs import DefTable
-
-from .conftest import generated_programs
-
-
-@settings(max_examples=30, deadline=None)
-@given(prog=generated_programs())
-def test_fixpoints_identical_across_backends(prog):
-    base = analyze(prog, backend="set")
-    for backend in ("bitset", "numpy"):
-        other = analyze(prog, backend=backend)
-        for node in base.graph.nodes:
-            assert base.in_names(node) == other.in_names(node.name), (backend, node.name)
-            assert base.out_names(node) == other.out_names(node.name), (backend, node.name)
 
 
 def _universe(n=70):
@@ -34,26 +20,25 @@ subsets = st.sets(st.integers(min_value=0, max_value=len(UNIVERSE) - 1))
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=subsets, b=subsets, backend=st.sampled_from(sorted(BACKENDS)))
-def test_operations_match_frozenset_model(a, b, backend):
-    ops = make_backend(backend, UNIVERSE)
-    fa = frozenset(UNIVERSE[i] for i in a)
-    fb = frozenset(UNIVERSE[i] for i in b)
-    sa, sb = ops.from_defs(fa), ops.from_defs(fb)
+@given(a=subsets, b=subsets, c=subsets)
+def test_operations_match_frozenset_model(a, b, c):
+    ops = make_backend(UNIVERSE)
+    fa, fb, fc = (frozenset(UNIVERSE[i] for i in s) for s in (a, b, c))
+    sa, sb, sc = ops.from_defs(fa), ops.from_defs(fb), ops.from_defs(fc)
+    assert ops.to_frozenset(sa) == fa
     assert ops.to_frozenset(ops.union(sa, sb)) == fa | fb
     assert ops.to_frozenset(ops.intersection(sa, sb)) == fa & fb
     assert ops.to_frozenset(ops.difference(sa, sb)) == fa - fb
+    assert ops.to_frozenset(ops.union_difference(sa, sb, sc)) == (fa | fb) - fc
+    assert ops.to_frozenset(ops.difference_union(sa, sb, sc)) == (fa - fb) | fc
     assert ops.equals(sa, sb) == (fa == fb)
-    assert ops.size(sa) == len(fa)
+    assert ops.equals(sa, ops.from_defs(sorted(fa, key=lambda d: -d.index)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    fams=st.lists(subsets, max_size=4),
-    backend=st.sampled_from(sorted(BACKENDS)),
-)
-def test_family_operations_match_model(fams, backend):
-    ops = make_backend(backend, UNIVERSE)
+@given(fams=st.lists(subsets, max_size=4))
+def test_family_operations_match_model(fams):
+    ops = make_backend(UNIVERSE)
     fsets = [frozenset(UNIVERSE[i] for i in f) for f in fams]
     handles = [ops.from_defs(f) for f in fsets]
     expected_union = frozenset().union(*fsets) if fsets else frozenset()

@@ -15,7 +15,6 @@ from repro import build_pfg
 from repro.analysis.mustexec import compute_must_done
 from repro.dataflow.solver import solve_round_robin
 from repro.reachdefs import SequentialRDSystem, compute_preserved
-from repro.reachdefs.preserved import compute_preserved as _cp
 from repro.reachdefs.synch import SynchRDSystem
 from repro.reachdefs.preserved import resolve_preserved
 
@@ -26,7 +25,7 @@ from .conftest import generated_programs, sequential_programs
 @given(prog=sequential_programs())
 def test_sequential_in_out_grow_per_pass(prog):
     graph = build_pfg(prog)
-    system = SequentialRDSystem(graph, backend="set")
+    system = SequentialRDSystem(graph)
     stats = solve_round_robin(system, graph.document_order(), snapshot_passes=True)
     snaps = stats.snapshots
     for earlier, later in zip(snaps, snaps[1:]):
@@ -39,7 +38,7 @@ def test_sequential_in_out_grow_per_pass(prog):
 @given(prog=generated_programs())
 def test_flow_phase_monotone_with_frozen_kills(prog):
     graph = build_pfg(prog)
-    system = SynchRDSystem(graph, preserved=resolve_preserved(graph), backend="set")
+    system = SynchRDSystem(graph, preserved=resolve_preserved(graph))
     system.initialize()
     nodes = graph.document_order()
     prev = None

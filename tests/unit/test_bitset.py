@@ -1,8 +1,8 @@
-"""Set-backend unit tests (all three backends, same behaviours)."""
+"""Bitset unit tests, for the plain and the op-counting backend alike."""
 
 import pytest
 
-from repro.dataflow.bitset import BACKENDS, make_backend
+from repro.dataflow.bitset import make_backend
 from repro.ir.defs import DefTable
 
 
@@ -14,14 +14,13 @@ def universe():
     return list(t)
 
 
-@pytest.fixture(params=sorted(BACKENDS))
+@pytest.fixture(params=["bitset", "counting"])
 def ops(request, universe):
-    return make_backend(request.param, universe)
+    return make_backend(universe, count_ops=request.param == "counting")
 
 
 def test_empty_roundtrip(ops):
     assert ops.to_frozenset(ops.empty()) == frozenset()
-    assert ops.size(ops.empty()) == 0
 
 
 def test_from_defs_roundtrip(ops, universe):
@@ -68,10 +67,6 @@ def test_intersection_all_multi(ops, universe):
     assert ops.to_frozenset(ops.intersection_all(fam)) == frozenset(universe[40:60])
 
 
-def test_size(ops, universe):
-    assert ops.size(ops.from_defs(universe[:37])) == 37
-
-
 def test_operations_do_not_mutate(ops, universe):
     a = ops.from_defs(universe[:10])
     b = ops.from_defs(universe[5:15])
@@ -86,12 +81,3 @@ def test_last_bit_of_universe(ops, universe):
     last = universe[-1]
     s = ops.from_defs([last])
     assert ops.to_frozenset(s) == frozenset([last])
-
-
-def test_unknown_backend_rejected(universe):
-    with pytest.raises(ValueError, match="unknown set backend"):
-        make_backend("nope", universe)
-
-
-def test_backend_names():
-    assert set(BACKENDS) == {"set", "bitset", "numpy"}

@@ -48,11 +48,6 @@ def test_analyze_prints_table_and_anomalies(program_file, capsys):
     assert "converged" in out
 
 
-def test_analyze_backend_flag(program_file, capsys):
-    assert main(["analyze", program_file, "--backend", "numpy"]) == 0
-    assert "Out" in capsys.readouterr().out
-
-
 def test_run_prints_final_values(program_file, capsys):
     assert main(["run", program_file, "--seed", "1"]) == 0
     out = capsys.readouterr().out

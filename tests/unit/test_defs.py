@@ -43,6 +43,32 @@ def test_same_block_redefinition_keeps_clean_name_on_newest():
     assert d1.name == "x3'1" and d2.name == "x3"
 
 
+def _probing_names(adds):
+    """Reference rename rule: probe ``'1, '2, ...`` from 1 on every clash."""
+    by_name = {}
+    for i, (var, site) in enumerate(adds):
+        base = f"{var}{site}"
+        if base in by_name:
+            bump = 1
+            while f"{base}'{bump}" in by_name:
+                bump += 1
+            by_name[f"{base}'{bump}"] = by_name.pop(base)
+        by_name[base] = i
+    return by_name
+
+
+def test_repeated_redefinitions_match_probing_rule():
+    # x+11 and x1+1 share the base name x11, so they rename each other too.
+    cycle = [("x", "3"), ("y", "3"), ("x", "11"), ("x1", "1")]
+    for k in range(1, 51):
+        adds = [a for i in range(k) for a in cycle[: 1 + i % 4]]
+        t = DefTable()
+        defs = [t.add(var, site) for var, site in adds]
+        expected = _probing_names(adds)
+        assert {name: t.by_name(name).index for name in t.names()} == expected
+        assert {d.name: d.index for d in defs} == expected
+
+
 def test_definitions_hash_by_index():
     t = DefTable()
     d = t.add("x", "1")

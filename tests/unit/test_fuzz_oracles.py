@@ -130,7 +130,7 @@ def test_dynamic_selfcheck_flags_injected_corruption():
     program = generate_program(
         900_000, GeneratorConfig(target_stmts=60, n_vars=4, p_parallel=0.3, p_loop=0.1)
     )
-    result = _solve_precise(build_pfg(program), "bitset")
+    result = _solve_precise(build_pfg(program))
     run = run_program(
         program, scheduler=RandomScheduler(seed=0, max_loop_iters=2), graph=result.graph
     )
@@ -154,5 +154,4 @@ def test_metamorphic_oracle_runs_all_mutators():
 def test_oracle_config_defaults():
     cfg = OracleConfig()
     assert cfg.solvers == ("stabilized", "round-robin", "worklist", "scc")
-    assert cfg.backend == "bitset"
     assert cfg.dynamic_runs == 3

@@ -117,22 +117,22 @@ def test_store_and_lookup_base_roundtrip():
 
 def test_incr_base_key_has_no_option_components():
     """The incremental base is keyed by program digest alone: retained
-    rows are backend-independent frozensets and solver choice never
-    changes them, so one base must serve every configuration."""
+    rows are decoded frozensets and solver choice never changes them,
+    so one base must serve every configuration."""
     cache = AnalysisCache()
     program = workloads.diamond_chain(5)
     # Base produced under one configuration…
-    result = analyze(program, solver="scc", backend="set", cache=False)
+    result = analyze(program, solver="scc", cache=False)
     base = store_base(program, result, cache=cache)
     assert cache.get(("incr", base.digest), MISSING) is base
     # …is found by lookups regardless of the requester's configuration:
-    # the key has no backend/solver components at all.
+    # the key has no solver component at all.
     assert lookup_base(base.digest, cache=cache) is base
 
 
 def test_serve_key_audit_no_wallclock_knobs():
     """Audit the serve record key construction: every component is
-    result-affecting (source, backend, preserved, solver, max_passes
+    result-affecting (source, preserved, solver, max_passes
     bounds the iteration, level picks the system, base_digest switches
     the delta path); wall-clock-only knobs (deadline_s, workers) must
     stay out.  Guarded by reading the worker source so a drive-by edit
@@ -145,7 +145,7 @@ def test_serve_key_audit_no_wallclock_knobs():
     key_block = src.split("serve_key = (")[1].split(")")[0]
     assert "deadline" not in key_block
     assert "workers" not in key_block
-    for component in ("source_digest", "backend", "preserved", "solver",
+    for component in ("source_digest", "preserved", "solver",
                       "max_passes", "level", "base_digest"):
         assert component in key_block
 

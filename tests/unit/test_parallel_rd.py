@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.lang import parse_program
 from repro.pfg import build_pfg
 from repro.reachdefs import solve_parallel, solve_sequential
@@ -162,11 +163,12 @@ def test_equivalent_to_sequential_on_sequential_graph(fig1a_graph):
         assert par.Out(n) == seq.Out(n)
 
 
-@pytest.mark.parametrize("backend", ["set", "bitset", "numpy"])
+@pytest.mark.parametrize("count_ops", [False, True], ids=["bitset", "counting"])
 @pytest.mark.parametrize("solver,order", [("round-robin", "rpo"), ("worklist", "document")])
-def test_fixpoint_stable_across_configs(fig6_graph, backend, solver, order):
+def test_fixpoint_stable_across_configs(fig6_graph, count_ops, solver, order):
     base = solve_parallel(fig6_graph)
-    other = solve_parallel(fig6_graph, backend=backend, solver=solver, order=order)
+    with obs.session(count_bitset_ops=count_ops):
+        other = solve_parallel(fig6_graph, solver=solver, order=order)
     for n in fig6_graph.nodes:
         assert base.In(n) == other.In(n)
         assert base.ACCKillout(n) == other.ACCKillout(n)

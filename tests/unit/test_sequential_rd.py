@@ -56,15 +56,6 @@ def test_uninitialized_use_has_no_reaching_defs():
     assert r.reaching("1", "x") == frozenset()
 
 
-@pytest.mark.parametrize("backend", ["set", "bitset", "numpy"])
-def test_backends_equal_on_fig1a(fig1a_graph, backend):
-    base = solve_sequential(fig1a_graph, backend="bitset")
-    other = solve_sequential(fig1a_graph, backend=backend)
-    for n in fig1a_graph.nodes:
-        assert base.In(n) == other.In(n)
-        assert base.Out(n) == other.Out(n)
-
-
 @pytest.mark.parametrize("solver", ["round-robin", "worklist"])
 @pytest.mark.parametrize("order", ["document", "rpo", "reverse-document"])
 def test_solver_and_order_do_not_change_fixpoint(fig1a_graph, solver, order):

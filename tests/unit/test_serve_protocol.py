@@ -39,7 +39,6 @@ class TestValidateRequest:
             (lambda r: r.update(params=None), "params"),
             (lambda r: r.update(params={}), "source"),
             (lambda r: r["params"].update(source="   "), "source"),
-            (lambda r: r["params"].update(backend="quantum"), "backend"),
             (lambda r: r["params"].update(preserved="all"), "preserved"),
             (lambda r: r["params"].update(solver="magic"), "solver"),
             (lambda r: r["params"].update(max_passes=0), "max_passes"),
@@ -62,7 +61,6 @@ class TestValidateRequest:
     def test_valid_option_values_accepted(self):
         req = _request()
         req["params"].update(
-            backend="numpy",
             preserved="none",
             solver="worklist",
             max_passes=10,

@@ -49,9 +49,9 @@ def test_syntax_error_is_typed_not_raised():
 
 
 def test_unknown_internal_failure_is_caught():
-    # Protocol validation normally rejects bad backends before the worker;
+    # Protocol validation normally rejects bad solvers before the worker;
     # if one slips through, the worker must type it, not die.
-    record = execute_request({"source": SEQ, "backend": "bogus"})
+    record = execute_request({"source": SEQ, "solver": "bogus"})
     assert record["status"] == "failed"
     assert record["error"]
 
@@ -87,8 +87,8 @@ def test_repeat_request_is_solver_free_even_with_deadline():
 
 def test_cache_key_discriminates_options_and_level():
     execute_request({"source": PAR})
-    different_backend = execute_request({"source": PAR, "backend": "set"})
-    assert different_backend["counters"].get("cache.serve.hits", 0) == 0
+    different_solver = execute_request({"source": PAR, "solver": "worklist"})
+    assert different_solver["counters"].get("cache.serve.hits", 0) == 0
     different_level = execute_request({"source": PAR}, level=2)
     assert different_level["counters"].get("cache.serve.hits", 0) == 0
     same_again = execute_request({"source": PAR})

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.lang import parse_program
 from repro.pfg import build_pfg
 from repro.reachdefs import solve_parallel, solve_synch
@@ -111,11 +112,12 @@ def test_preserved_none_is_sound_superset(fig3_graph):
         assert precise.Out(n) <= blunt.Out(n), n.name
 
 
-@pytest.mark.parametrize("backend", ["set", "bitset", "numpy"])
+@pytest.mark.parametrize("count_ops", [False, True], ids=["bitset", "counting"])
 @pytest.mark.parametrize("solver,order", [("round-robin", "rpo"), ("worklist", "document")])
-def test_fixpoint_stable_across_configs(fig3_graph, backend, solver, order):
+def test_fixpoint_stable_across_configs(fig3_graph, count_ops, solver, order):
     base = solve_synch(fig3_graph)
-    other = solve_synch(fig3_graph, backend=backend, solver=solver, order=order)
+    with obs.session(count_bitset_ops=count_ops):
+        other = solve_synch(fig3_graph, solver=solver, order=order)
     for n in fig3_graph.nodes:
         assert base.In(n) == other.In(n)
         assert base.SynchPass(n) == other.SynchPass(n)
