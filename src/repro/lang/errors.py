@@ -33,12 +33,6 @@ class SourceSpan:
         pos = SourcePos(line, column)
         return SourceSpan(pos, pos)
 
-    def merge(self, other: "SourceSpan") -> "SourceSpan":
-        """Smallest span covering both ``self`` and ``other``."""
-        start = min(self.start, other.start)
-        end = max(self.end, other.end)
-        return SourceSpan(start, end)
-
     def __str__(self) -> str:
         return str(self.start)
 

@@ -1,4 +1,4 @@
-"""Hand-written lexer for the mini-PCF language.
+"""Single-regex lexer for the mini-PCF language.
 
 Design notes
 ------------
@@ -8,148 +8,144 @@ Design notes
 * Comments run from ``#`` or ``!`` to end of line (``!`` for FORTRAN
   flavour).
 * Keywords are case-insensitive; identifiers preserve case.
+* One compiled pattern scans the whole source; columns are offsets from
+  the start of the current line, so tokens carry plain ints and build
+  their :class:`~repro.lang.errors.SourceSpan` only when it is read.
+* Words start with a letter (``str.isalpha``) or ``_`` and continue with
+  ``str.isalnum`` characters or ``_``; integers are runs of decimal
+  digits.  A character that ``str.isdigit`` accepts but ``int`` does not
+  (``²``) is an unexpected character, not a literal.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
 from .errors import LexError, SourcePos, SourceSpan
 from .tokens import KEYWORDS, Token, TokenKind
 
-_SINGLE_CHAR = {
+_OPERATORS = {
     "+": TokenKind.PLUS,
     "-": TokenKind.MINUS,
     "*": TokenKind.STAR,
+    "/": TokenKind.SLASH,
     "%": TokenKind.PERCENT,
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
     ",": TokenKind.COMMA,
+    "=": TokenKind.ASSIGN,
+    "==": TokenKind.EQ,
+    "/=": TokenKind.NE,  # FORTRAN-style "not equal"
+    "<": TokenKind.LT,
+    "<=": TokenKind.LE,
+    ">": TokenKind.GT,
+    ">=": TokenKind.GE,
 }
 
-
-class Lexer:
-    """Converts source text into a token stream.
-
-    Use :func:`tokenize` for the common case; the class form exists so
-    incremental tooling can observe lexer state.
-    """
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- low-level cursor ------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def _here(self) -> SourcePos:
-        return SourcePos(self.line, self.column)
-
-    # -- scanning --------------------------------------------------------
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield tokens, ending with a single ``EOF`` token."""
-        emitted_any = False
-        last_was_newline = True  # suppress leading NEWLINEs
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r":
-                self._advance()
-                continue
-            if ch in "#!":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-                continue
-            if ch == "\n" or ch == ";":
-                start = self._here()
-                self._advance()
-                if not last_was_newline:
-                    yield Token(TokenKind.NEWLINE, "\\n", SourceSpan(start, self._here()))
-                    last_was_newline = True
-                continue
-            tok = self._scan_token()
-            last_was_newline = False
-            emitted_any = True
-            yield tok
-        end = self._here()
-        if emitted_any and not last_was_newline:
-            yield Token(TokenKind.NEWLINE, "\\n", SourceSpan(end, end))
-        yield Token(TokenKind.EOF, "<eof>", SourceSpan(end, end))
-
-    def _scan_token(self) -> Token:
-        start = self._here()
-        ch = self._peek()
-        if ch.isdigit():
-            return self._scan_int(start)
-        if ch.isalpha() or ch == "_":
-            return self._scan_word(start)
-        if ch in _SINGLE_CHAR:
-            self._advance()
-            return Token(_SINGLE_CHAR[ch], ch, SourceSpan(start, self._here()))
-        if ch == "=":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenKind.EQ, "==", SourceSpan(start, self._here()))
-            return Token(TokenKind.ASSIGN, "=", SourceSpan(start, self._here()))
-        if ch == "<":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenKind.LE, "<=", SourceSpan(start, self._here()))
-            return Token(TokenKind.LT, "<", SourceSpan(start, self._here()))
-        if ch == ">":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenKind.GE, ">=", SourceSpan(start, self._here()))
-            return Token(TokenKind.GT, ">", SourceSpan(start, self._here()))
-        if ch == "/":
-            self._advance()
-            if self._peek() == "=":  # FORTRAN-style "not equal"
-                self._advance()
-                return Token(TokenKind.NE, "/=", SourceSpan(start, self._here()))
-            return Token(TokenKind.SLASH, "/", SourceSpan(start, self._here()))
-        raise LexError(f"unexpected character {ch!r}", SourceSpan.point(start.line, start.column))
-
-    def _scan_int(self, start: SourcePos) -> Token:
-        text = []
-        while self._peek().isdigit():
-            text.append(self._advance())
-        if self._peek().isalpha():
-            raise LexError(
-                f"malformed integer literal {''.join(text) + self._peek()!r}",
-                SourceSpan(start, self._here()),
-            )
-        s = "".join(text)
-        return Token(TokenKind.INT, s, SourceSpan(start, self._here()), value=int(s))
-
-    def _scan_word(self, start: SourcePos) -> Token:
-        text = []
-        while self._peek().isalnum() or self._peek() == "_":
-            text.append(self._advance())
-        word = "".join(text)
-        kind = KEYWORDS.get(word.lower())
-        if kind is not None:
-            return Token(kind, word, SourceSpan(start, self._here()))
-        return Token(TokenKind.IDENT, word, SourceSpan(start, self._here()), value=word)
+#: One token (or comment, separator, or the end of the source) after
+#: optional blanks.  ``\w`` is exactly ``str.isalnum`` plus ``_`` and
+#: ``\d`` exactly ``str.isdecimal``.  ``uword`` catches words that start
+#: outside ASCII; its first character still has to pass ``str.isalpha``,
+#: because ``[^\W\d]`` also admits numerals such as ``Ⅻ`` and ``½``.  An
+#: integer may not run into any other ``str.isalnum`` character (which
+#: also stops ``\d+`` from backtracking into a shorter run).  Anything
+#: else is ``bad``, and :func:`_lex_error` explains it.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<op>[=<>/]=|[-+*/%(),=<>])"
+    r"|(?P<int>\d+(?![^\W_]))"
+    r"|(?P<nl>\n)"
+    r"|(?P<semi>;)"
+    r"|(?P<comment>[#!][^\n]*)"
+    r"|(?P<uword>[^\W\d]\w*)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.)"
+    r")",
+    re.DOTALL,
+)
 
 
 def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` completely, raising :class:`LexError` on bad input."""
-    return list(Lexer(source).tokens())
+    """Tokenize ``source`` completely, raising :class:`LexError` on bad input.
+
+    The result ends with one ``EOF`` token, preceded by a ``NEWLINE``
+    unless the source holds no token at all.
+    """
+    tokens: List[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    after_newline = True  # suppresses leading and repeated NEWLINEs
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        start = m.start(group)
+        column = start - line_start + 1
+        if group == "word" or group == "uword":
+            text = m[group]
+            if group == "uword" and not text[0].isalpha():
+                raise _lex_error(source, start, line, line_start)
+            kind = KEYWORDS.get(text.lower())
+            if kind is None:
+                append(Token(TokenKind.IDENT, text, text, line, column, line, column + len(text)))
+            else:
+                append(Token(kind, text, None, line, column, line, column + len(text)))
+        elif group == "op":
+            text = m[group]
+            append(Token(_OPERATORS[text], text, None, line, column, line, column + len(text)))
+        elif group == "int":
+            text = m[group]
+            append(Token(TokenKind.INT, text, int(text), line, column, line, column + len(text)))
+        elif group == "nl":
+            if not after_newline:
+                append(Token(TokenKind.NEWLINE, "\\n", None, line, column, line + 1, 1))
+            line += 1
+            line_start = start + 1
+            after_newline = True
+            continue
+        elif group == "semi":
+            if not after_newline:
+                append(Token(TokenKind.NEWLINE, "\\n", None, line, column, line, column + 1))
+            after_newline = True
+            continue
+        elif group == "comment":
+            continue
+        elif group == "eof":
+            break
+        else:
+            raise _lex_error(source, start, line, line_start)
+        after_newline = False
+    # ``line`` and ``column`` now point at the end of the source.
+    if not after_newline:
+        append(Token(TokenKind.NEWLINE, "\\n", None, line, column, line, column))
+    append(Token(TokenKind.EOF, "<eof>", None, line, column, line, column))
+    return tokens
+
+
+def _lex_error(source: str, pos: int, line: int, line_start: int) -> LexError:
+    """The error for the text at ``pos``, where no token matches.
+
+    A run of ``str.isdigit`` characters followed by a letter is a
+    malformed integer literal; otherwise the first character that cannot
+    start or extend a token is unexpected.
+    """
+    column = pos - line_start + 1
+    if source[pos].isdigit():
+        end = pos
+        while source[end : end + 1].isdigit():
+            end += 1
+        after = source[end : end + 1]
+        if after.isalpha():
+            return LexError(
+                f"malformed integer literal {source[pos:end] + after!r}",
+                SourceSpan(SourcePos(line, column), SourcePos(line, column + end - pos)),
+            )
+        for i in range(pos, end):
+            if not source[i].isdecimal():
+                pos = i
+                break
+        else:  # a well-formed literal: the fault is the character after it
+            pos = end
+        column = pos - line_start + 1
+    return LexError(f"unexpected character {source[pos]!r}", SourceSpan.point(line, column))

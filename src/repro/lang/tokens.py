@@ -9,13 +9,12 @@ event variables with ``post``/``wait``/``clear``, sequential ``if``/``loop``/
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .errors import SourceSpan
+from .errors import SourcePos, SourceSpan
 
 
 class TokenKind(enum.Enum):
-    """Lexical categories produced by :class:`repro.lang.lexer.Lexer`."""
+    """Lexical categories produced by :func:`repro.lang.lexer.tokenize`."""
 
     # Literals / identifiers
     INT = "INT"
@@ -103,18 +102,52 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
 class Token:
-    """A single lexeme with its source span.
+    """A single lexeme and where it sits in the source.
 
     ``value`` holds the decoded payload: an ``int`` for ``INT`` tokens, the
     (case-preserved) spelling for ``IDENT`` tokens, and ``None`` otherwise.
+    The position is kept as four ints; :attr:`span` builds the
+    :class:`SourceSpan` only when it is read (statement nodes and error
+    paths do, most tokens never are).
     """
 
-    kind: TokenKind
-    text: str
-    span: SourceSpan
-    value: object = None
+    __slots__ = ("kind", "text", "value", "line", "column", "end_line", "end_column")
+
+    def __init__(
+        self,
+        kind: TokenKind,
+        text: str,
+        value: object,
+        line: int,
+        column: int,
+        end_line: int,
+        end_column: int,
+    ):
+        self.kind = kind
+        self.text = text
+        self.value = value
+        self.line = line
+        self.column = column
+        self.end_line = end_line
+        self.end_column = end_column
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(
+            SourcePos(self.line, self.column), SourcePos(self.end_line, self.end_column)
+        )
+
+    def _key(self) -> tuple:
+        return (self.kind, self.text, self.value, self.line, self.column, self.end_line, self.end_column)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:  # compact, useful in parser error paths
         payload = f"={self.value!r}" if self.value is not None else ""

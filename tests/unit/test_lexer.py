@@ -133,3 +133,23 @@ def test_sync_keywords():
     assert kinds("post wait clear event")[:4] == [
         TokenKind.POST, TokenKind.WAIT, TokenKind.CLEAR, TokenKind.EVENT,
     ]
+
+
+def test_newline_token_spans_to_next_line():
+    nl = tokenize("a = 1\nb = 2")[3]
+    assert nl.kind is TokenKind.NEWLINE
+    assert (str(nl.span.start), str(nl.span.end)) == ("1:6", "2:1")
+
+
+def test_columns_count_characters_after_the_last_newline():
+    toks = tokenize("a = 1\n\tb = é")
+    assert (toks[4].text, str(toks[4].span.start)) == ("b", "2:2")
+    assert (toks[6].value, str(toks[6].span.start), str(toks[6].span.end)) == ("é", "2:6", "2:7")
+
+
+def test_tokens_compare_and_hash_by_value():
+    first, again = tokenize("x = 1"), tokenize("x = 1")
+    assert first == again
+    assert hash(first[0]) == hash(again[0])
+    assert first[0] != tokenize(" x = 1")[0]  # same lexeme, other column
+    assert repr(first[2]) == "Token(INT=1 @ 1:5)"

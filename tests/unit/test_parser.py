@@ -235,3 +235,36 @@ def test_empty_expression_rejected():
 
 def test_fortran_ne_in_expression():
     assert parse_expression("a /= b") == ast.BinOp("/=", ast.Var("a"), ast.Var("b"))
+
+
+def test_not_binds_looser_than_comparison():
+    assert parse_expression("not a == b") == ast.UnaryOp(
+        "not", ast.BinOp("==", ast.Var("a"), ast.Var("b"))
+    )
+
+
+def test_logic_keywords_spell_lowercase_operators():
+    assert parse_expression("a AND b Or c") == ast.BinOp(
+        "or", ast.BinOp("and", ast.Var("a"), ast.Var("b")), ast.Var("c")
+    )
+
+
+@pytest.mark.parametrize(
+    "source, message, start, end",
+    [
+        # comparisons do not chain, not even behind and/or, not or parens
+        ("a < b < c", "expected end of expression, found '<'", "1:7", "1:8"),
+        ("a and b < c > d", "expected end of expression, found '>'", "1:13", "1:14"),
+        ("not a < b > c", "expected end of expression, found '>'", "1:11", "1:12"),
+        ("a or b and c < d == e", "expected end of expression, found '=='", "1:18", "1:20"),
+        ("(a < b < c)", "expected ')', found '<'", "1:8", "1:9"),
+        # 'not' only starts an operand of and/or
+        ("a + not b", "expected an expression, found 'not'", "1:5", "1:8"),
+        ("- not a", "expected an expression, found 'not'", "1:3", "1:6"),
+    ],
+)
+def test_expression_errors_and_spans(source, message, start, end):
+    with pytest.raises(ParseError) as info:
+        parse_expression(source)
+    assert info.value.message == message
+    assert (str(info.value.span.start), str(info.value.span.end)) == (start, end)
