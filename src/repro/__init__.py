@@ -28,6 +28,7 @@ from .reachdefs import (
     ReachingDefsResult,
     compute_genkill,
     compute_preserved,
+    solve,
     solve_parallel,
     solve_sequential,
     solve_synch,
@@ -46,7 +47,9 @@ def analyze(
     record_provenance: bool = False,
     graph=None,
 ) -> ReachingDefsResult:
-    """Analyze ``program`` with the most precise applicable equation system.
+    """Analyze ``program`` with the most precise applicable equation system:
+    the cache, the PFG build, then :func:`repro.reachdefs.solve`, which
+    picks it.
 
     * sequential program → §2 classical reaching definitions;
     * parallel sections / parallel do, no synchronization → §5 parallel
@@ -109,27 +112,10 @@ def analyze(
             return hit
     if graph is None:
         graph = cached_build_pfg(program) if cache else build_pfg(program)
-    uses_sync = bool(graph.posts_of_event or graph.waits_of_event)
-    uses_parallel = bool(graph.forks) or bool(graph.pardos)
-    if uses_sync:
-        result = solve_synch(
-            graph, order=order, solver=solver, preserved=preserved,
-            budget=budget, record_provenance=record_provenance,
-        )
-    elif uses_parallel:
-        result = solve_parallel(
-            graph, order=order, solver=solver, budget=budget,
-            record_provenance=record_provenance,
-        )
-    else:
-        if solver == "stabilized":
-            # The sequential system is monotone with a unique fixpoint: the
-            # chaotic solver already yields the stabilized answer.
-            solver = "round-robin"
-        result = solve_sequential(
-            graph, order=order, solver=solver, budget=budget,
-            record_provenance=record_provenance,
-        )
+    result = solve(
+        graph, order=order, solver=solver, preserved=preserved,
+        budget=budget, record_provenance=record_provenance,
+    )
     if key is not None:
         GLOBAL_CACHE.put(key, result)
     return result

@@ -1,8 +1,12 @@
 """Use-definition chains — the paper's "ud-chaining problem" (§2.1).
 
 Thin, report-friendly layer over
-:meth:`repro.reachdefs.result.ReachingDefsResult.ud_chains`; every other
-client in this package consumes chains through here.
+:meth:`repro.reachdefs.result.ReachingDefsResult.ud_chains`: the chains
+the optimization report prints, and the du-chains inverted from them.
+The other clients (constprop, copyprop, deadcode, cse) do not go
+through here: they query the result directly, one use at a time, with
+:meth:`~repro.reachdefs.result.ReachingDefsResult.reaching_use`
+(constprop also asks it for ``du_chains``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ class UDChains:
     @classmethod
     def from_result(cls, result: ReachingDefsResult) -> "UDChains":
         ud = result.ud_chains()
-        du = result.du_chains()
+        du = result.du_chains(ud)
         return cls(result=result, ud=ud, du=du)
 
     # -- queries -----------------------------------------------------------

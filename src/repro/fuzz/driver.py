@@ -302,9 +302,9 @@ def run_drill(drill: int, options: FuzzOptions) -> Dict[str, object]:
     from ..interp.interp import run_program
     from ..interp.scheduler import RandomScheduler
     from ..pfg import build_pfg
+    from ..reachdefs import solve
     from ..robust.chaos import corrupt_result
     from ..robust.selfcheck import verify_result
-    from .oracles import _solve_precise
 
     tracer = get_tracer()
     t0 = time.perf_counter()
@@ -334,7 +334,7 @@ def run_drill(drill: int, options: FuzzOptions) -> Dict[str, object]:
     def corruption_detected(candidate: ast.Program) -> bool:
         """True when a seeded corruption of the candidate's (sound)
         analysis is flagged by the dynamic self-check."""
-        result = _solve_precise(build_pfg(candidate))
+        result = solve(build_pfg(candidate))
         run = run_program(
             candidate,
             scheduler=RandomScheduler(seed=0, max_loop_iters=options.max_loop_iters),

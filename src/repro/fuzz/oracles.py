@@ -68,13 +68,7 @@ from ..lang.ast import structurally_equal
 from ..lang.errors import LangError
 from ..obs import get_metrics
 from ..pfg import build_pfg, validate_pfg
-from ..reachdefs import (
-    ReachingDefsResult,
-    solve_conservative,
-    solve_parallel,
-    solve_sequential,
-    solve_synch,
-)
+from ..reachdefs import ReachingDefsResult, family, solve, solve_conservative, solve_synch
 from .mutate import MUTATORS, Mutation, apply_mutators
 
 #: Solvers compared by the agreement oracle — every registered engine.
@@ -145,36 +139,6 @@ def default_oracle_names(dynamic: bool = False) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _solve_precise(
-    graph,
-    solver: str = "stabilized",
-    preserved: str = "approx",
-    record_provenance: bool = False,
-) -> ReachingDefsResult:
-    """The most precise applicable system, mirroring :func:`repro.analyze`
-    (which is bypassed here: oracles want explicit solver control and no
-    result cache between differential runs)."""
-    uses_sync = bool(graph.posts_of_event or graph.waits_of_event)
-    uses_parallel = bool(graph.forks) or bool(graph.pardos)
-    if uses_sync:
-        return solve_synch(
-            graph,
-            solver=solver,
-            preserved=preserved,
-            record_provenance=record_provenance,
-        )
-    if uses_parallel:
-        return solve_parallel(
-            graph, solver=solver, record_provenance=record_provenance
-        )
-    if solver == "stabilized":
-        # Sequential system: chaotic iteration is already deterministic.
-        solver = "round-robin"
-    return solve_sequential(
-        graph, solver=solver, record_provenance=record_provenance
-    )
-
-
 def _trim(failures: List[OracleFailure], total: int) -> List[OracleFailure]:
     if total > MAX_DETAILS:
         failures.append(
@@ -219,7 +183,7 @@ def solver_agreement(program: ast.Program, cfg: OracleConfig) -> List[OracleFail
     the deterministic least resolution would mean lost soundness facts.
     """
     graph = build_pfg(program)
-    results = {s: _solve_precise(graph, solver=s) for s in cfg.solvers}
+    results = {s: solve(graph, solver=s) for s in cfg.solvers}
     baseline_name = cfg.solvers[0]
     baseline = results[baseline_name]
     exact_mode = solver_agreement_mode(program) == "exact"
@@ -263,12 +227,11 @@ def system_bounds(program: ast.Program, cfg: OracleConfig) -> List[OracleFailure
                 failures.append(OracleFailure("system-bounds", detail))
 
     graph = build_pfg(program)
-    full = _solve_precise(graph)
+    full = solve(graph)
     cons = solve_conservative(build_pfg(program))
-    uses_sync = bool(graph.posts_of_event or graph.waits_of_event)
     blunt = (
         solve_synch(build_pfg(program), preserved="none")
-        if uses_sync
+        if family(graph) == "synch"
         else None
     )
     for i, node in enumerate(graph.nodes):
@@ -402,13 +365,13 @@ def _chain_mismatches(
 def metamorphic(program: ast.Program, cfg: OracleConfig) -> List[OracleFailure]:
     """Each transform leaves reaching chains unchanged modulo its maps."""
     metrics = get_metrics()
-    base = _solve_precise(build_pfg(program))
+    base = solve(build_pfg(program))
     failures: List[OracleFailure] = []
     mismatches = 0
     for mutation in apply_mutators(program, cfg.mutation_seed, names=cfg.mutators):
         if metrics.enabled:
             metrics.inc("fuzz.mutants")
-        mutant = _solve_precise(build_pfg(mutation.program))
+        mutant = solve(build_pfg(mutation.program))
         for detail in _chain_mismatches(program, base, mutation, mutant):
             mismatches += 1
             if len(failures) < MAX_DETAILS:
@@ -431,7 +394,7 @@ def provenance_chains(program: ast.Program, cfg: OracleConfig) -> List[OracleFai
     * the SCC engine yields the *identical* canonical justification graph
       (provenance must not depend on the visit schedule).
     """
-    base = _solve_precise(build_pfg(program), record_provenance=True)
+    base = solve(build_pfg(program), record_provenance=True)
     prov = base.provenance
     failures: List[OracleFailure] = []
     total = 0
@@ -464,7 +427,7 @@ def provenance_chains(program: ast.Program, cfg: OracleConfig) -> List[OracleFai
                     f"chain of {d.name} ends at ({last.fact.node.name}), "
                     f"not the use's block ({node.name})"
                 )
-    scc = _solve_precise(build_pfg(program), solver="scc", record_provenance=True)
+    scc = solve(build_pfg(program), solver="scc", record_provenance=True)
     if scc.provenance.canonical() != prov.canonical():
         fail("scc justification graph differs from stabilized")
     return _trim(failures, total) if total > MAX_DETAILS else failures
@@ -502,13 +465,13 @@ def incremental_equivalence(
         base = IncrementalBase(
             program=program,
             graph=base_graph,
-            result=_solve_precise(base_graph, solver=solver),
+            result=solve(base_graph, solver=solver),
         )
         outcome = incremental_analyze(
             base, edit.program, solver=solver,
             cache=False, verify=True,
         )
-        scratch = _solve_precise(build_pfg(edit.program), solver=solver)
+        scratch = solve(build_pfg(edit.program), solver=solver)
         slots: Tuple[str, ...] = ("In", "Out")
         if scratch.acc_killin is not None and outcome.result.acc_killin is not None:
             slots += ("ACCKillin", "ACCKillout", "ForkKill")
@@ -536,7 +499,7 @@ def dynamic_selfcheck(program: ast.Program, cfg: OracleConfig) -> List[OracleFai
     the generator's contract, never deadlock)."""
     from ..robust.selfcheck import verify_result
 
-    result = _solve_precise(build_pfg(program))
+    result = solve(build_pfg(program))
     violations, deadlocked = verify_result(
         result,
         program,

@@ -43,8 +43,9 @@ from ..dataflow.solver import make_order
 from ..lang import ast
 from ..obs import get_metrics
 from ..pfg import ParallelFlowGraph, build_pfg
+from ..reachdefs import family
 from ..reachdefs.parallel import ParallelRDSystem
-from ..reachdefs.result import ReachingDefsResult
+from ..reachdefs.result import SLOT_FIELDS, ReachingDefsResult
 from ..reachdefs.sequential import SequentialRDSystem
 from .diff import dirty_regions, match_graphs
 
@@ -55,14 +56,6 @@ FALLBACK_SYNC = "sync"
 FALLBACK_UNMATCHED = "unmatched"
 FALLBACK_SYSTEM = "system-mismatch"
 FALLBACK_UNMAPPED = "unmapped-defs"
-
-
-def _family(graph: ParallelFlowGraph) -> str:
-    if graph.posts_of_event or graph.waits_of_event:
-        return "synch"
-    if graph.forks or graph.pardos:
-        return "parallel"
-    return "sequential"
 
 
 @dataclass
@@ -202,10 +195,10 @@ def incremental_analyze(
         return IncrementalOutcome(
             result=result, base_digest=base.digest, fallback=reason
         )
-    family = _family(graph)
-    if family == "synch" or _family(base.graph) == "synch":
+    kind = family(graph)
+    if kind == "synch" or family(base.graph) == "synch":
         return fall_back(FALLBACK_SYNC)
-    if base.result.system != family:
+    if base.result.system != kind:
         # The base rows come from a different equation system (degraded
         # conservative rung, or the program changed family entirely).
         return fall_back(FALLBACK_SYSTEM)
@@ -214,18 +207,9 @@ def incremental_analyze(
     if match.n_matched == 0:
         return fall_back(FALLBACK_UNMATCHED)
 
-    if family == "parallel":
-        system = ParallelRDSystem(graph)
-        base_rows = {
-            "In": base.result.in_sets,
-            "Out": base.result.out_sets,
-            "ACCKillin": base.result.acc_killin,
-            "ACCKillout": base.result.acc_killout,
-            "ForkKill": base.result.fork_kill,
-        }
-    else:
-        system = SequentialRDSystem(graph)
-        base_rows = {"_in": base.result.in_sets, "_out": base.result.out_sets}
+    system = ParallelRDSystem(graph) if kind == "parallel" else SequentialRDSystem(graph)
+    slots = dict(system._slots())
+    base_rows = {name: getattr(base.result, SLOT_FIELDS[name]) for name in slots}
 
     schedule = get_schedule(system)
     dirty = dirty_regions(match, schedule)
@@ -262,8 +246,7 @@ def incremental_analyze(
 
     def install() -> None:
         for slot, values in seeded.items():
-            target = getattr(system, slot)
-            target.update(values)
+            slots[slot].update(values)
 
     stats = solve_scc(
         system,

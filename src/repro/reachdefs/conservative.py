@@ -27,73 +27,34 @@ The property is exercised by the degradation tests
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
-from ..dataflow.bitset import make_backend
-from ..dataflow.framework import EquationSystem, SolveStats
-from ..dataflow.solver import make_order, solve_round_robin
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
-from .genkill import GenKillInfo, compute_genkill
+from .genkill import GenKillInfo
+from .parallel import run_solver
 from .result import ReachingDefsResult
+from .sequential import SequentialRDSystem
 
 
-class ConservativeRDSystem(EquationSystem[PFGNode]):
-    """Accumulate-only reaching definitions over all edge kinds."""
+class ConservativeRDSystem(SequentialRDSystem):
+    """Accumulate-only reaching definitions over all edge kinds: the §2
+    system with every edge kind as a predecessor and no kill."""
 
     system_name = "conservative"
 
-    def __init__(
-        self,
-        graph: ParallelFlowGraph,
-        info: Optional[GenKillInfo] = None,
-    ):
-        self.graph = graph
-        self.info = info if info is not None else compute_genkill(graph)
-        self.ops = make_backend(list(graph.defs))
-        self._gen = {n: self.ops.from_defs(self.info.gen[n]) for n in graph.nodes}
-        self._preds = {n: graph.all_preds(n) for n in graph.nodes}
-        self._in: Dict[PFGNode, object] = {}
-        self._out: Dict[PFGNode, object] = {}
+    def __init__(self, graph: ParallelFlowGraph, info: Optional[GenKillInfo] = None):
+        # The floor records no provenance: no ``record_provenance`` here.
+        super().__init__(graph, info)
 
-    def nodes(self):
-        return self.graph.document_order()
+    def _pred_family(self, n: PFGNode):
+        return self.graph.all_preds(n)
 
-    def initialize(self) -> None:
-        empty = self.ops.empty()
-        for n in self.graph.nodes:
-            self._in[n] = empty
-            self._out[n] = empty
-
-    def update(self, n: PFGNode) -> bool:
-        ops = self.ops
-        new_in = ops.union_all(self._out[p] for p in self._preds[n])
-        new_out = ops.union(new_in, self._gen[n])
-        changed = not ops.equals(new_in, self._in[n]) or not ops.equals(new_out, self._out[n])
-        self._in[n] = new_in
-        self._out[n] = new_out
-        return changed
+    def _transfer(self, n: PFGNode, new_in):
+        return self.ops.union(new_in, self._gen[n])
 
     def dependents(self, n: PFGNode) -> Iterable[PFGNode]:
         return self.graph.succs(n)
-
-    def snapshot(self):
-        ops = self.ops
-        return {
-            "In": {n.name: ops.to_frozenset(self._in[n]) for n in self.graph.nodes},
-            "Out": {n.name: ops.to_frozenset(self._out[n]) for n in self.graph.nodes},
-        }
-
-    def to_result(self, stats: SolveStats) -> ReachingDefsResult:
-        ops = self.ops
-        return ReachingDefsResult(
-            graph=self.graph,
-            info=self.info,
-            in_sets={n: ops.to_frozenset(self._in[n]) for n in self.graph.nodes},
-            out_sets={n: ops.to_frozenset(self._out[n]) for n in self.graph.nodes},
-            stats=stats,
-            system=self.system_name,
-        )
 
 
 def solve_conservative(
@@ -101,7 +62,7 @@ def solve_conservative(
     order: str = "document",
     budget=None,
 ) -> ReachingDefsResult:
-    """Run the accumulate-only system to fixpoint.
+    """Run the accumulate-only system to fixpoint (round-robin).
 
     Deliberately *not* budgeted by default: this is the analysis the
     ladder runs when everything else has failed, and its convergence is
@@ -109,6 +70,5 @@ def solve_conservative(
     symmetry (e.g. to bound a direct caller).
     """
     system = ConservativeRDSystem(graph)
-    nodes = make_order(graph, order)
-    stats = solve_round_robin(system, nodes, order_name=order, budget=budget)
+    stats = run_solver(system, graph, order, "round-robin", False, budget=budget)
     return system.to_result(stats)

@@ -102,9 +102,3 @@ def compute_genkill(graph: ParallelFlowGraph) -> GenKillInfo:
     graph._genkill_memo = info
     return info
 
-
-def sequential_kill(info: GenKillInfo, node: PFGNode) -> DefSet:
-    """The classical (concurrency-blind) kill set — everything in
-    ``OtherDefs``.  Used by the sequential equations, including when they
-    are (unsoundly) applied to a parallel graph as a baseline."""
-    return info.other_defs[node]

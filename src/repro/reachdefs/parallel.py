@@ -34,16 +34,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..dataflow.bitset import make_backend
-from ..dataflow.framework import EquationSystem, SolveStats
-from ..dataflow.solver import make_order, solve_round_robin, solve_worklist
+from ..dataflow.framework import SolveStats
+from ..dataflow.solver import make_order
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo, compute_genkill
-from .result import ReachingDefsResult
+from .result import RDSystem, ReachingDefsResult
 
 
-class ParallelRDSystem(EquationSystem[PFGNode]):
+class ParallelRDSystem(RDSystem):
     """Equation system for §5 (no event synchronization).
 
     Synchronization edges, if present in the graph, are ignored by this
@@ -53,23 +52,16 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
 
     system_name = "parallel"
 
-    #: Whether the In equation reads synchronization edges — the flow-edge
-    #: family provenance recording follows (§6 subclass overrides).
-    provenance_sync_edges = False
-
     def __init__(
         self,
         graph: ParallelFlowGraph,
         info: Optional[GenKillInfo] = None,
         record_provenance: bool = False,
     ):
-        self.graph = graph
-        self.wants_provenance = record_provenance
-        self._provenance = None
-        self.info = info if info is not None else compute_genkill(graph)
-        self.ops = make_backend(list(graph.defs))
+        super().__init__(
+            graph, info if info is not None else compute_genkill(graph), record_provenance
+        )
         ops = self.ops
-        self._gen = {n: ops.from_defs(self.info.gen[n]) for n in graph.nodes}
         self._kill = {n: ops.from_defs(self.info.kill[n]) for n in graph.nodes}
         self._parkill = {n: ops.from_defs(self.info.parallel_kill[n]) for n in graph.nodes}
         self._otherdefs = {n: ops.from_defs(self.info.other_defs[n]) for n in graph.nodes}
@@ -77,8 +69,6 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         self._all_preds = {n: self._pred_family(n) for n in graph.nodes}
         self._par_preds = {n: graph.par_preds(n) for n in graph.nodes}
         self._seq_preds = {n: graph.seq_preds(n) for n in graph.nodes}
-        self.In: Dict[PFGNode, object] = {}
-        self.Out: Dict[PFGNode, object] = {}
         self.ACCKillin: Dict[PFGNode, object] = {}
         self.ACCKillout: Dict[PFGNode, object] = {}
         self.ForkKill: Dict[PFGNode, object] = {}
@@ -89,18 +79,6 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         return self.graph.control_preds(n)
 
     # -- framework interface ----------------------------------------------
-
-    def nodes(self):
-        return self.graph.document_order()
-
-    def initialize(self) -> None:
-        empty = self.ops.empty()
-        for n in self.graph.nodes:
-            self.In[n] = empty
-            self.Out[n] = empty
-            self.ACCKillin[n] = empty
-            self.ACCKillout[n] = empty
-            self.ForkKill[n] = empty
 
     def update(self, n: PFGNode) -> bool:
         return self.update_flow(n) | self.update_kill(n)
@@ -149,12 +127,6 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
 
         return changed
 
-    def reset_flow(self) -> None:
-        self.reset_flow_nodes(self.graph.nodes)
-
-    def reset_kill(self) -> None:
-        self.reset_kill_nodes(self.graph.nodes)
-
     def reset_flow_nodes(self, nodes: Iterable[PFGNode]) -> None:
         """Reset ``In``/``Out`` on ``nodes`` only — the stabilized round
         driver's flow reset, scoped to a region by the SCC scheduler so
@@ -183,8 +155,8 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
         )
 
     def _slots(self):
-        """Every per-node variable, by name: the flow pair, then the kill layer."""
-        return (("In", self.In), ("Out", self.Out)) + self._kill_slots()
+        """The flow pair, then the kill layer."""
+        return super()._slots() + self._kill_slots()
 
     def kill_state(self, nodes=None):
         """Kill-layer values per slot, restricted to ``nodes`` if given."""
@@ -242,80 +214,22 @@ class ParallelRDSystem(EquationSystem[PFGNode]):
             out.append(n.join)
         return out
 
-    # -- provenance (opt-in; see repro.provenance) --------------------------
-
-    def record_justifications(self):
-        """Derive the justification graph from the converged sets (the
-        solver's post-convergence hook; see
-        :func:`repro.dataflow.solver._finalize_provenance`)."""
-        from ..provenance.record import build_justifications
-
-        ops = self.ops
-        nodes = self.graph.nodes
-        self._provenance = build_justifications(
-            self.graph,
-            {n: ops.to_frozenset(self.In[n]) for n in nodes},
-            {n: ops.to_frozenset(self.Out[n]) for n in nodes},
-            self.info.gen,
-            include_sync=self.provenance_sync_edges,
-            system=self.system_name,
-        )
-        return self._provenance
-
-    # -- results ---------------------------------------------------------------
-
-    def snapshot(self):
-        """Frozenset state per slot (pass tables, non-convergence payloads)."""
-        ops = self.ops
-        return {
-            name: {n.name: ops.to_frozenset(slot[n]) for n in self.graph.nodes}
-            for name, slot in self._slots()
-        }
-
-    def state_key(self, nodes):
-        """Raw bitset image of every slot over ``nodes``, for the stabilized
-        convergence checks: equal keys iff equal state, with no decode."""
-        return tuple(slot[n] for _, slot in self._slots() for n in nodes)
-
     def to_result(self, stats: SolveStats, known=None) -> ReachingDefsResult:
-        """``known`` maps slot name → {node: frozenset} for rows whose
-        final values are already materialized (the incremental engine's
-        seeded clean regions) — frozenset conversion is skipped there."""
-        ops = self.ops
-        nodes = self.graph.nodes
-        known = known or {}
-
-        def mat(slot_name, values):
-            pre = known.get(slot_name)
-            if not pre:
-                return {n: ops.to_frozenset(values[n]) for n in nodes}
-            return {
-                n: pre[n] if n in pre else ops.to_frozenset(values[n])
-                for n in nodes
-            }
-
-        return ReachingDefsResult(
-            graph=self.graph,
-            info=self.info,
-            in_sets=mat("In", self.In),
-            out_sets=mat("Out", self.Out),
-            acc_killin=mat("ACCKillin", self.ACCKillin),
-            acc_killout=mat("ACCKillout", self.ACCKillout),
-            fork_kill=mat("ForkKill", self.ForkKill),
-            stats=stats,
-            system=self.system_name,
-            provenance=self._provenance,
-        )
+        return self._result(stats, known)
 
 
 def run_solver(system, graph, order: str, solver: str, snapshot_passes: bool, budget=None):
-    """Dispatch a reaching-definitions system to a solver.
+    """Run any reaching-definitions system to fixpoint — the one solver
+    dispatch every ``solve_*`` function goes through.
 
     ``solver``:
 
     * ``"stabilized"`` (default) — deterministic, visit-order-independent
       least-fixpoint phases (:func:`~repro.dataflow.solver.solve_stabilized`);
-      most precise.
+      most precise.  A system without the flow/kill phase protocol (§2
+      sequential, the conservative floor) is monotone, so chaotic
+      iteration already reaches its unique least fixpoint: it runs
+      round-robin.
     * ``"round-robin"`` — the paper's chaotic Gauss–Seidel sweeps (use
       ``order="document"`` + ``snapshot_passes=True`` to reproduce the
       paper's per-iteration tables).
@@ -325,34 +239,31 @@ def run_solver(system, graph, order: str, solver: str, snapshot_passes: bool, bu
       cyclic regions stabilized locally; same fixpoints, far fewer
       updates on mostly-acyclic graphs.
 
-    ``budget`` (a :class:`~repro.dataflow.budget.ResourceBudget`) guards
-    the run; see :mod:`repro.dataflow.budget`.
+    ``snapshot_passes=True`` records the iterate after every sweep in
+    ``stats.snapshots``; only round-robin makes those sweeps, so any
+    other solver raises :class:`ValueError`.  ``budget`` (a
+    :class:`~repro.dataflow.budget.ResourceBudget`) guards the run; see
+    :mod:`repro.dataflow.budget`.
     """
-    from ..dataflow.sched import solve_scc
-    from ..dataflow.solver import solve_stabilized
+    from ..dataflow.sched import _phase_split
+    from ..dataflow.solver import SOLVERS
 
     nodes = make_order(graph, order)
-    if solver == "stabilized":
-        if snapshot_passes:
-            raise ValueError(
-                "snapshot_passes records the paper's per-sweep iterates; "
-                "use solver='round-robin' for that"
-            )
-        return solve_stabilized(system, nodes, order_name=order, budget=budget)
-    if solver == "scc":
-        if snapshot_passes:
-            raise ValueError(
-                "snapshot_passes records per-sweep iterates, but the scc "
-                "solver has no global sweeps; use solver='round-robin'"
-            )
-        return solve_scc(system, nodes, order_name=f"{solver}/{order}", budget=budget)
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}")
+    if snapshot_passes and solver != "round-robin":
+        raise ValueError(
+            "snapshot_passes records the paper's per-sweep iterates, which only "
+            f"solver='round-robin' produces: {solver!r} makes no global sweeps of that kind"
+        )
+    if solver == "stabilized" and not _phase_split(system):
+        solver = "round-robin"
     if solver == "round-robin":
-        return solve_round_robin(
+        return SOLVERS[solver](
             system, nodes, order_name=order, snapshot_passes=snapshot_passes, budget=budget
         )
-    if solver == "worklist":
-        return solve_worklist(system, nodes, order_name=f"worklist/{order}", budget=budget)
-    raise ValueError(f"unknown solver {solver!r}")
+    name = order if solver == "stabilized" else f"{solver}/{order}"
+    return SOLVERS[solver](system, nodes, order_name=name, budget=budget)
 
 
 def solve_parallel(

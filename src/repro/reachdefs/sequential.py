@@ -15,19 +15,20 @@ ones, so the parallel-merge kill rule and cross-thread effects are missed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
-from ..dataflow.bitset import make_backend
-from ..dataflow.framework import EquationSystem, SolveStats
-from ..dataflow.solver import make_order, solve_round_robin, solve_worklist
+from ..dataflow.framework import SolveStats
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo, compute_genkill
-from .result import ReachingDefsResult
+from .parallel import run_solver
+from .result import RDSystem, ReachingDefsResult
 
 
-class SequentialRDSystem(EquationSystem[PFGNode]):
+class SequentialRDSystem(RDSystem):
     """Equation system for §2."""
+
+    system_name = "sequential"
 
     def __init__(
         self,
@@ -35,87 +36,35 @@ class SequentialRDSystem(EquationSystem[PFGNode]):
         info: Optional[GenKillInfo] = None,
         record_provenance: bool = False,
     ):
-        self.graph = graph
-        self.wants_provenance = record_provenance
-        self._provenance = None
-        self.info = info if info is not None else compute_genkill(graph)
-        self.ops = make_backend(list(graph.defs))
-        ops = self.ops
-        self._gen = {n: ops.from_defs(self.info.gen[n]) for n in graph.nodes}
+        super().__init__(
+            graph, info if info is not None else compute_genkill(graph), record_provenance
+        )
         # Classical kill: every other definition of a variable defined here.
-        self._kill = {n: ops.from_defs(self.info.other_defs[n]) for n in graph.nodes}
-        self._in: Dict[PFGNode, object] = {}
-        self._out: Dict[PFGNode, object] = {}
+        self._kill = {n: self.ops.from_defs(self.info.other_defs[n]) for n in graph.nodes}
+        self._preds = {n: self._pred_family(n) for n in graph.nodes}
 
-    def nodes(self):
-        return self.graph.document_order()
+    def _pred_family(self, n: PFGNode):
+        """``pred(n)`` for the In equation: control predecessors."""
+        return self.graph.control_preds(n)
 
-    def initialize(self) -> None:
-        empty = self.ops.empty()
-        for n in self.graph.nodes:
-            self._in[n] = empty
-            self._out[n] = empty
+    def _transfer(self, n: PFGNode, new_in):
+        """``Out(n)`` from the new ``In(n)``."""
+        return self.ops.difference_union(new_in, self._kill[n], self._gen[n])
 
     def update(self, n: PFGNode) -> bool:
         ops = self.ops
-        new_in = ops.union_all(self._out[p] for p in self.graph.control_preds(n))
-        new_out = ops.difference_union(new_in, self._kill[n], self._gen[n])
-        changed = not ops.equals(new_in, self._in[n]) or not ops.equals(new_out, self._out[n])
-        self._in[n] = new_in
-        self._out[n] = new_out
+        new_in = ops.union_all(self.Out[p] for p in self._preds[n])
+        new_out = self._transfer(n, new_in)
+        changed = not ops.equals(new_in, self.In[n]) or not ops.equals(new_out, self.Out[n])
+        self.In[n] = new_in
+        self.Out[n] = new_out
         return changed
 
     def dependents(self, n: PFGNode) -> Iterable[PFGNode]:
         return self.graph.control_succs(n)
 
-    def record_justifications(self):
-        """Solver post-convergence hook (see :mod:`repro.provenance`)."""
-        from ..provenance.record import build_justifications
-
-        ops = self.ops
-        nodes = self.graph.nodes
-        self._provenance = build_justifications(
-            self.graph,
-            {n: ops.to_frozenset(self._in[n]) for n in nodes},
-            {n: ops.to_frozenset(self._out[n]) for n in nodes},
-            self.info.gen,
-            include_sync=False,
-            system="sequential",
-        )
-        return self._provenance
-
-    def snapshot(self):
-        ops = self.ops
-        return {
-            "In": {n.name: ops.to_frozenset(self._in[n]) for n in self.graph.nodes},
-            "Out": {n.name: ops.to_frozenset(self._out[n]) for n in self.graph.nodes},
-        }
-
     def to_result(self, stats: SolveStats, known=None) -> ReachingDefsResult:
-        """``known`` maps slot name → {node: frozenset} for rows whose
-        final values are already materialized (the incremental engine's
-        seeded clean regions) — frozenset conversion is skipped there."""
-        ops = self.ops
-        known = known or {}
-
-        def mat(slot_name, values):
-            pre = known.get(slot_name)
-            if not pre:
-                return {n: ops.to_frozenset(values[n]) for n in self.graph.nodes}
-            return {
-                n: pre[n] if n in pre else ops.to_frozenset(values[n])
-                for n in self.graph.nodes
-            }
-
-        return ReachingDefsResult(
-            graph=self.graph,
-            info=self.info,
-            in_sets=mat("_in", self._in),
-            out_sets=mat("_out", self._out),
-            stats=stats,
-            system="sequential",
-            provenance=self._provenance,
-        )
+        return self._result(stats, known)
 
 
 def solve_sequential(
@@ -126,19 +75,8 @@ def solve_sequential(
     budget=None,
     record_provenance: bool = False,
 ) -> ReachingDefsResult:
-    """Run sequential reaching definitions to fixpoint on ``graph``."""
+    """Run sequential reaching definitions to fixpoint on ``graph``;
+    ``solver`` as in :func:`~repro.reachdefs.parallel.run_solver`."""
     system = SequentialRDSystem(graph, record_provenance=record_provenance)
-    nodes = make_order(graph, order)
-    if solver == "round-robin":
-        stats = solve_round_robin(
-            system, nodes, order_name=order, snapshot_passes=snapshot_passes, budget=budget
-        )
-    elif solver == "worklist":
-        stats = solve_worklist(system, nodes, order_name=f"worklist/{order}", budget=budget)
-    elif solver == "scc":
-        from ..dataflow.sched import solve_scc
-
-        stats = solve_scc(system, nodes, order_name=f"scc/{order}", budget=budget)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    stats = run_solver(system, graph, order, solver, snapshot_passes, budget=budget)
     return system.to_result(stats)

@@ -69,11 +69,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from ..dataflow.framework import SolveStats
-from .parallel import run_solver
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.node import PFGNode
 from .genkill import GenKillInfo
-from .parallel import ParallelRDSystem
+from .parallel import ParallelRDSystem, run_solver
 from .preserved import PreservedResult, resolve_preserved
 from .result import ReachingDefsResult
 
@@ -120,12 +119,6 @@ class SynchRDSystem(ParallelRDSystem):
     def _pred_family(self, n: PFGNode) -> List[PFGNode]:
         # §6 In: pred(n) includes synchronization predecessors.
         return self.graph.all_preds(n)
-
-    def initialize(self) -> None:
-        super().initialize()
-        empty = self.ops.empty()
-        for n in self.graph.nodes:
-            self.SynchPass[n] = empty
 
     def update_kill(self, n: PFGNode) -> bool:
         # SynchPass belongs to the kill layer: it feeds ACCKillin (and the
@@ -188,10 +181,7 @@ class SynchRDSystem(ParallelRDSystem):
 
     def to_result(self, stats: SolveStats) -> ReachingDefsResult:
         result = super().to_result(stats)
-        ops = self.ops
-        result.synch_pass = {n: ops.to_frozenset(self.SynchPass[n]) for n in self.graph.nodes}
         result.preserved = self.preserved
-        result.system = self.system_name
         return result
 
 
@@ -214,8 +204,9 @@ def solve_synch(
     ``filter_synch_pass=False`` selects the paper's literal SynchPass
     equation (which can oscillate on loop-carried tokens — see the module
     docstring).  ``solver`` as in :func:`~repro.reachdefs.parallel.run_solver`:
-    ``"stabilized"`` (default, deterministic) or the paper's
-    ``"round-robin"`` / ``"worklist"`` chaotic iteration.  ``budget`` (a
+    ``"stabilized"`` (default, deterministic), ``"scc"`` (the same
+    fixpoint, SCC-scheduled) or the paper's ``"round-robin"`` /
+    ``"worklist"`` chaotic iteration.  ``budget`` (a
     :class:`~repro.dataflow.budget.ResourceBudget`) guards the *whole*
     computation — the Preserved approximation and the equation solve
     draw from the same allowance.

@@ -50,13 +50,7 @@ from ..obs import get_metrics, get_tracer
 from ..pfg import validate_pfg
 from ..pfg.graph import ParallelFlowGraph
 from ..pfg.validate import PFGInvariantError
-from ..reachdefs import (
-    ReachingDefsResult,
-    solve_conservative,
-    solve_parallel,
-    solve_sequential,
-    solve_synch,
-)
+from ..reachdefs import ReachingDefsResult, family, solve, solve_conservative, solve_synch
 
 #: Synchronization-lint kinds under which the §6 Preserved machinery is
 #: no longer justified (its "every post executable before its wait"
@@ -154,8 +148,7 @@ def analyze_with_degradation(
     graph = source if isinstance(source, ParallelFlowGraph) else cached_build_pfg(source)
     tracer = get_tracer()
     metrics = get_metrics()
-    uses_sync = bool(graph.posts_of_event or graph.waits_of_event)
-    uses_parallel = bool(graph.forks) or bool(graph.pardos)
+    uses_sync = family(graph) == "synch"
     reasons: List[str] = []
     spends: List[ResourceBudget] = []
 
@@ -206,50 +199,20 @@ def analyze_with_degradation(
             )
             start = DegradationLevel.NO_PRESERVED
 
+    if start is DegradationLevel.FULL:
+        result = attempt(
+            DegradationLevel.FULL, solve, graph=graph, order=order, solver=solver,
+            preserved=preserved,
+        )
+        if result is not None:
+            return result, None
     if uses_sync:
-        if start is DegradationLevel.FULL:
-            result = attempt(
-                DegradationLevel.FULL,
-                solve_synch,
-                graph=graph,
-                order=order,
-                solver=solver,
-                preserved=preserved,
-            )
-            if result is not None:
-                return result, None
         result = attempt(
-            DegradationLevel.NO_PRESERVED,
-            solve_synch,
-            graph=graph,
-            order=order,
-            solver=solver,
-            preserved="none",
+            DegradationLevel.NO_PRESERVED, solve_synch, graph=graph, order=order,
+            solver=solver, preserved="none",
         )
         if result is not None:
-            degraded = record(DegradationLevel.NO_PRESERVED)
-            return result, degraded
-    elif uses_parallel:
-        result = attempt(
-            DegradationLevel.FULL,
-            solve_parallel,
-            graph=graph,
-            order=order,
-            solver=solver,
-        )
-        if result is not None:
-            return result, None
-    else:
-        seq_solver = "round-robin" if solver == "stabilized" else solver
-        result = attempt(
-            DegradationLevel.FULL,
-            solve_sequential,
-            graph=graph,
-            order=order,
-            solver=seq_solver,
-        )
-        if result is not None:
-            return result, None
+            return result, record(DegradationLevel.NO_PRESERVED)
 
     with tracer.span("degrade", level="conservative"):
         result = solve_conservative(graph, order=order)

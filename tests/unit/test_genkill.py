@@ -2,7 +2,7 @@
 
 from repro.lang import parse_program
 from repro.pfg import build_pfg
-from repro.reachdefs.genkill import compute_genkill, sequential_kill
+from repro.reachdefs.genkill import compute_genkill
 
 
 def names(defs):
@@ -55,12 +55,6 @@ def test_sequential_program_has_empty_parkill(fig1a_graph):
     info = compute_genkill(fig1a_graph)
     for node in fig1a_graph.nodes:
         assert info.parallel_kill[node] == frozenset()
-
-
-def test_sequential_kill_equals_other_defs(fig3_graph):
-    info = compute_genkill(fig3_graph)
-    for node in fig3_graph.nodes:
-        assert sequential_kill(info, node) == info.other_defs[node]
 
 
 def test_def_node_mapping(fig3_graph):

@@ -78,8 +78,8 @@ def test_flow_and_kill_phase_partition_state():
     for n in nodes:
         system.update_kill(n)
     assert all(system.ops.equals(system.In[n], flow_snapshot[n]) for n in nodes)
-    # ...and reset_flow clears exactly the flow half
+    # ...and reset_flow_nodes clears exactly the flow half
     killin_before = {n: system.ACCKillin[n] for n in nodes}
-    system.reset_flow()
+    system.reset_flow_nodes(graph.nodes)
     assert all(system.ops.equals(system.In[n], system.ops.empty()) for n in nodes)
     assert all(system.ops.equals(system.ACCKillin[n], killin_before[n]) for n in nodes)

@@ -3,6 +3,7 @@
 from repro import analyze
 from repro.analysis import compute_ud_chains
 from repro.lang import parse_program
+from repro.reachdefs import ReachingDefsResult
 
 
 def chains(src):
@@ -56,3 +57,21 @@ def test_format_lists_uses():
 def test_uninitialized_read_formatted():
     text = chains("program p\n(1) y = q\nend").format()
     assert "uninitialized" in text
+
+
+def test_from_result_resolves_each_use_once(monkeypatch):
+    """du-chains are inverted from the ud-chains already built, not
+    re-derived: one ``reaching_use`` per use."""
+    result = analyze(parse_program(SRC))
+    expected_du = result.du_chains()
+    calls = []
+    original = ReachingDefsResult.reaching_use
+
+    def counted(self, use):
+        calls.append(use)
+        return original(self, use)
+
+    monkeypatch.setattr(ReachingDefsResult, "reaching_use", counted)
+    c = compute_ud_chains(result)
+    assert len(calls) == len(c.ud) == sum(len(n.uses()) for n in result.graph.nodes)
+    assert c.du == expected_du
